@@ -8,7 +8,7 @@
 //                 estimator effect), a window far above the offered load
 //                 (no congestion control), fast retransmit disabled.
 //  * "adaptive" — the default config: per-peer Jacobson RTO, slow-start +
-//                 AIMD window, duplicate-SACK fast retransmit.
+//                 AIMD window, RACK (time-based) fast retransmit.
 //
 // The whole matrix runs under the virtual clock, so a cell with 20 ms link
 // delay and seconds of virtual traffic costs milliseconds of wall time and
@@ -70,7 +70,7 @@ ReliableConfig fixedRtoConfig() {
   cfg.maxRto = cfg.rto;
   cfg.initialCwnd = 1u << 20;
   cfg.maxCwnd = 1u << 20;
-  cfg.fastRetransmitDups = UINT32_MAX;
+  cfg.fastRetransmit = false;
   cfg.deliveryTimeout = seconds(60);
   return cfg;
 }

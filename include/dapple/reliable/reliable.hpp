@@ -40,9 +40,9 @@ namespace dapple {
 /// estimated per peer (Jacobson SRTT/RTTVAR, Karn's rule) and each stream
 /// runs a slow-start + AIMD congestion window.  The *fixed-RTO, unwindowed*
 /// behaviour of the original layer is still expressible through this struct
-/// — pin `minRto == rto == maxRto` and raise `initialCwnd`/`maxCwnd` past
-/// the offered load — which is exactly how `bench_transport` reproduces the
-/// old sender as its baseline.
+/// — pin `minRto == rto == maxRto`, raise `initialCwnd`/`maxCwnd` past the
+/// offered load and turn `fastRetransmit` off — which is exactly how
+/// `bench_transport` reproduces the old sender as its baseline.
 struct ReliableConfig {
   /// Timer granularity for the retransmission scan.
   Duration tickInterval = milliseconds(5);
@@ -65,13 +65,19 @@ struct ReliableConfig {
   std::uint32_t initialCwnd = 4;
   /// Congestion window ceiling, in frames.
   std::uint32_t maxCwnd = 256;
-  /// Duplicate-SACK evidence threshold for fast retransmit: a pending frame
-  /// that stays unacked while this many later ack blocks cover higher
-  /// sequence numbers is retransmitted immediately instead of waiting out
-  /// its timer.  Set very high (e.g. UINT32_MAX) to disable.
-  std::uint32_t fastRetransmitDups = 3;
+  /// Time-based loss detection (RACK, RFC 8985): a pending frame is resent
+  /// before its timer once a frame sent after it has been acknowledged and
+  /// that frame's RTT plus a reordering window has passed since the
+  /// pending frame's own last send.  Reordering within that window never
+  /// reads as loss, however many later frames overtake the late one, and
+  /// the window grows with the reordering the stream observes.  False
+  /// leaves every loss to the retransmission timer.
+  bool fastRetransmit = true;
   /// Acks are coalesced: one cumulative+SACK block per receive stream is
-  /// emitted after this many frame arrivals fold into it.
+  /// emitted after this many frame arrivals fold into it.  While a stream
+  /// has a gap the block goes out every ackEvery/2 arrivals, and an arrival
+  /// that opens or fills a gap is acked at once (RFC 5681 §4.2), so the
+  /// sender learns of a hole, and of its repair, without waiting.
   std::uint32_t ackEvery = 8;
   /// A pending ack older than this is flushed by the next timer tick, so
   /// the worst-case ack delay is ackDelay + tickInterval.  `normalized()`
@@ -203,7 +209,7 @@ class ReliableEndpoint {
   /// used again (e.g. after a partition heals).
   void resetStream(const NodeAddress& dst, std::uint64_t streamId);
 
-  /// One retransmission-scan pass: RTO/fast-retransmit checks, delivery
+  /// One retransmission-scan pass: RACK/RTO loss checks, delivery
   /// timeouts, delayed-ack flush.  With the internal timer thread this runs
   /// automatically every `tickInterval`; under `externalTick` the owner
   /// (the dapplet's reactor timer) calls it instead.  Safe from any thread;
@@ -216,8 +222,13 @@ class ReliableEndpoint {
   struct Stats {
     std::uint64_t dataSent = 0;        ///< first transmissions
     std::uint64_t retransmits = 0;     ///< resends (timer-driven + fast)
-    /// Resends triggered by duplicate-SACK evidence before the timer fired.
+    /// Resends triggered by RACK loss detection before the timer fired.
     std::uint64_t fastRetransmits = 0;
+    /// Resends proven unnecessary: the frame's ack arrived sooner than the
+    /// path's minimum RTT after the resend, so it answered the original.
+    /// Each one widens the stream's reordering window; once every resend
+    /// since a window cut is proven spurious, the cut is undone.
+    std::uint64_t spuriousRetransmits = 0;
     /// RTT samples folded into a peer's SRTT/RTTVAR estimate (Karn's rule:
     /// retransmitted frames never sample).
     std::uint64_t rttSamples = 0;

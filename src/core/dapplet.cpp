@@ -328,6 +328,7 @@ obs::MetricsSnapshot Dapplet::metrics() const {
   snap.counters["reliable.data_sent"] += rs.dataSent;
   snap.counters["reliable.retransmits"] += rs.retransmits;
   snap.counters["reliable.fast_retransmits"] += rs.fastRetransmits;
+  snap.counters["reliable.spurious_retransmits"] += rs.spuriousRetransmits;
   snap.counters["reliable.rtt_samples"] += rs.rttSamples;
   snap.counters["reliable.window_deferred"] += rs.windowDeferred;
   snap.counters["reliable.data_bytes"] += rs.dataBytes;

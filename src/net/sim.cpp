@@ -1,5 +1,6 @@
 #include "dapple/net/sim.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -112,7 +113,18 @@ struct SimNetwork::Impl {
                                                  other.seq);
     }
   };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  /// Min-heap on (due, hash, seq) whose top can be moved out, so a
+  /// payload is never copied between send and delivery.
+  struct EventQueue
+      : std::priority_queue<Event, std::vector<Event>, std::greater<>> {
+    Event popTop() {
+      std::pop_heap(c.begin(), c.end(), comp);
+      Event ev = std::move(c.back());
+      c.pop_back();
+      return ev;
+    }
+  };
+  EventQueue queue;
   std::uint64_t nextSeq = 0;
 
   Stats stats;
@@ -213,7 +225,7 @@ struct SimNetwork::Impl {
       ev.seq = nextSeq++;
       ev.src = src;
       ev.dst = dst;
-      ev.payload = payload;
+      ev.payload = i + 1 < copies ? payload : std::move(payload);
       queue.push(std::move(ev));
     }
   }
@@ -250,8 +262,7 @@ struct SimNetwork::Impl {
       // then deliver without it so handlers may send.
       std::vector<std::pair<Event, std::shared_ptr<EndpointImpl>>> ready;
       while (!queue.empty() && queue.top().due <= now) {
-        Event ev = queue.top();
-        queue.pop();
+        Event ev = queue.popTop();
         std::shared_ptr<EndpointImpl> target;
         const auto it = endpoints.find(ev.dst);
         if (it != endpoints.end()) target = it->second.lock();

@@ -112,10 +112,6 @@ ReliableConfig ReliableConfig::normalized(
     out.maxCwnd = out.initialCwnd;
     note("maxCwnd below initialCwnd; raised to initialCwnd");
   }
-  if (out.fastRetransmitDups == 0) {
-    out.fastRetransmitDups = 1;
-    note("fastRetransmitDups == 0; raised to 1");
-  }
   if (out.ackDelay < Duration::zero()) {
     out.ackDelay = Duration::zero();
     note("ackDelay < 0; raised to 0");
@@ -218,6 +214,9 @@ struct ReliableEndpoint::Impl {
     /// frame retransmits first, and retransmitted frames never sample), so
     /// the estimator could never bootstrap out of spurious retransmits.
     Duration noSampleRto{};
+    /// Smallest clean sample: a resend acked sooner than this after it
+    /// went out was answered by the original transmission.
+    Duration minRtt{};
   };
   std::unordered_map<NodeAddress, PeerRtt> peerRtt;
 
@@ -231,6 +230,27 @@ struct ReliableEndpoint::Impl {
     double cwnd = 0;          ///< seeded from cfg.initialCwnd on creation
     double ssthresh = 0;      ///< slow start below, additive increase above
     std::uint64_t recoverSeq = 0;  ///< no second window cut until acks pass
+    /// RACK (RFC 8985): the latest-sent frame known delivered.  A pending
+    /// frame sent before it is lost once rtt + reorder window has passed
+    /// since the pending frame's own last send.
+    struct Rack {
+      TimePoint xmit{};  ///< its last send; the epoch means no ack yet
+      std::uint64_t seq = 0;  ///< its sequence number, breaks xmit ties
+      Duration rtt{};
+      /// Reorder window in steps of minRtt/4, capped at srtt.  It widens to
+      /// cover each overtaken frame acked without a resend, and by one step
+      /// per proven spurious resend.
+      std::uint32_t reoWndSteps = 1;
+    } rack;
+    /// Eifel undo (RFC 4015): the window before the last cut, restored if
+    /// every resend since the cut proves spurious.
+    struct Undo {
+      bool armed = false;
+      TimePoint since{};  ///< the cut; resends from here on belong to it
+      double cwnd = 0;
+      double ssthresh = 0;
+      std::uint32_t resends = 0;  ///< not yet proven spurious
+    } undo;
     struct Pending {
       /// Per-destination head + refcounted shared body.  Retransmit state
       /// holds a reference, not a frame copy; the wire bytes (frame header
@@ -240,8 +260,7 @@ struct ReliableEndpoint::Impl {
       TimePoint lastSent;   ///< last wire transmission: the RTT sample base
       TimePoint nextResend;
       Duration backoff;
-      std::uint32_t dupEvidence = 0;  ///< ack blocks covering higher seqs
-      bool retransmitted = false;     ///< Karn's rule: never RTT-sample
+      bool retransmitted = false;  ///< Karn's rule: never RTT-sample
     };
     std::map<std::uint64_t, Pending> pending;  // in flight (<= window)
     /// Frames admitted beyond the window: they hold their sequence number
@@ -333,10 +352,12 @@ struct ReliableEndpoint::Impl {
       p.hasSample = true;
       p.srtt = r;
       p.rttvar = r / 2;
+      p.minRtt = r;
     } else {
       const Duration err = r > p.srtt ? r - p.srtt : p.srtt - r;
       p.rttvar = (3 * p.rttvar + err) / 4;
       p.srtt = (7 * p.srtt + r) / 8;
+      p.minRtt = std::min(p.minRtt, r);
     }
     ++stats.rttSamples;
     if (mSrttUs != nullptr) {
@@ -360,11 +381,13 @@ struct ReliableEndpoint::Impl {
 
   /// One multiplicative decrease per flight: frames below recoverSeq were in
   /// flight when the window was last cut and do not cut it again.
-  void lossCutLocked(SendStream& ss, std::uint64_t seq, bool timerExpiry) {
+  void lossCutLocked(SendStream& ss, std::uint64_t seq, bool timerExpiry,
+                     TimePoint now) {
     if (seq < ss.recoverSeq) return;
+    if (!ss.undo.armed) ss.undo = {true, now, ss.cwnd, ss.ssthresh, 0};
     ss.ssthresh = std::max(ss.cwnd / 2, 2.0);
-    // Timer expiry means the pipe drained: restart from one frame.  Dup-SACK
-    // evidence means later frames still arrive: resume at half.
+    // Timer expiry means the pipe drained: restart from one frame.  A RACK
+    // loss means later frames still arrive: resume at half.
     ss.cwnd = timerExpiry ? 1.0 : ss.ssthresh;
     ss.recoverSeq = ss.nextSeq;
     if (mCwnd != nullptr) mCwnd->set(static_cast<std::int64_t>(ss.cwnd));
@@ -405,6 +428,53 @@ struct ReliableEndpoint::Impl {
     batch.push_back(Datagram{
         key.peer,
         assembleData(key.streamId, ss.epoch, seq, piggyback, envelope)});
+  }
+
+  /// Puts a pending frame back on the wire; the caller rearms its timer.
+  void resendLocked(std::vector<Datagram>& batch, const StreamKey& key,
+                    SendStream& ss, std::uint64_t seq, SendStream::Pending& p,
+                    TimePoint now) {
+    p.retransmitted = true;
+    p.lastSent = now;
+    if (ss.undo.armed) ++ss.undo.resends;
+    stageDataLocked(batch, key, ss, seq, p.envelope);
+    ++stats.retransmits;
+    stats.retransmitBytes += p.envelope.size();
+  }
+
+  /// RFC 8985 order of sends: a later last send, ties broken by sequence.
+  static bool sentAfter(TimePoint t1, std::uint64_t seq1, TimePoint t2,
+                        std::uint64_t seq2) {
+    return t1 > t2 || (t1 == t2 && seq1 > seq2);
+  }
+
+  /// RACK loss detection: resends every pending frame that a later-sent
+  /// frame has overtaken by more than rack.rtt + the reorder window.
+  /// Runs on every ack and every tick.
+  void detectLossesLocked(std::vector<Datagram>& batch, const StreamKey& key,
+                          SendStream& ss, TimePoint now) {
+    if (!cfg.fastRetransmit || ss.rack.xmit == TimePoint{}) return;
+    const auto pit = peerRtt.find(key.peer);
+    if (pit == peerRtt.end() || !pit->second.hasSample) return;
+    const PeerRtt& pr = pit->second;
+    const Duration deadline =
+        ss.rack.rtt + std::min(pr.minRtt / 4 * ss.rack.reoWndSteps, pr.srtt);
+    for (auto& [seq, p] : ss.pending) {
+      if (!sentAfter(ss.rack.xmit, ss.rack.seq, p.lastSent, seq) ||
+          now - p.lastSent < deadline) {
+        // First transmissions leave in sequence order, so once one is not
+        // yet lost no later frame is either; resends are out of order.
+        if (!p.retransmitted) break;
+        continue;
+      }
+      if (now - p.enqueued > cfg.deliveryTimeout) continue;  // doomed
+      lossCutLocked(ss, seq, /*timerExpiry=*/false, now);
+      resendLocked(batch, key, ss, seq, p, now);
+      p.backoff = rtoForLocked(key.peer);
+      p.nextResend = now + p.backoff;
+      ++stats.fastRetransmits;
+      if (mFastRetransmits != nullptr) mFastRetransmits->inc();
+    }
   }
 
   /// Moves queued frames into flight while the window has room.  Frames
@@ -511,6 +581,7 @@ struct ReliableEndpoint::Impl {
       } else if (epoch < rs.epoch) {
         return;  // stale frame from a pre-reset retransmission
       }
+      const bool hadGap = !rs.buffered.empty();
       if (seq < rs.nextExpected || rs.buffered.count(seq) != 0) {
         ++stats.duplicates;
         // A duplicate means our ack was lost or is still in flight.  The
@@ -547,14 +618,20 @@ struct ReliableEndpoint::Impl {
         ackQueue[src].push_back(key);
       }
       ++rs.pendingFrames;
-      // Flush once ackEvery arrivals have coalesced; otherwise the timer
-      // flushes after ackDelay, or the next outgoing DATA frame to this
-      // peer piggybacks the blocks for free.  Deferral is safe for SACK
-      // promptness because `ReliableConfig::normalized()` enforces
-      // ackDelay + tickInterval < minRto/2: every RTO the sender's
-      // estimator can produce leaves room for a deferred SACK to arrive
-      // before the retransmission fires.
-      if (rs.pendingFrames >= cfg.ackEvery) {
+      // Flush at once when this arrival opened or filled a gap, every
+      // ackEvery/2 arrivals while a gap stays open (the sender's RACK needs
+      // prompt SACKs to tell loss from reordering), and every ackEvery
+      // arrivals in order.  Otherwise the timer flushes after ackDelay, or
+      // the next outgoing DATA frame to this peer piggybacks the blocks for
+      // free.  Deferral is safe for the RTO because
+      // `ReliableConfig::normalized()` enforces ackDelay + tickInterval <
+      // minRto/2: every RTO the sender's estimator can produce leaves room
+      // for a deferred SACK to arrive before the retransmission fires.
+      const bool gap = !rs.buffered.empty();
+      const bool gapEdge = hadGap ? deliverHead : gap;
+      const std::uint32_t every =
+          gap ? std::max<std::uint32_t>(1, cfg.ackEvery / 2) : cfg.ackEvery;
+      if (gapEdge || rs.pendingFrames >= every) {
         const std::vector<AckBlock> blocks = collectAckBlocksLocked(src);
         if (!blocks.empty()) {
           ackDatagram = encodeAck(cfg.codec, blocks);
@@ -574,16 +651,72 @@ struct ReliableEndpoint::Impl {
     }
   }
 
-  /// Marks one pending frame acknowledged: ack-latency histogram plus the
-  /// RTT sample (Karn's rule: only frames transmitted exactly once sample,
-  /// so a retransmission ambiguity never poisons the estimator).
-  void ackFrameLocked(const NodeAddress& src,
+  /// Marks one pending frame acknowledged: ack-latency histogram, the RTT
+  /// sample (Karn's rule: only frames transmitted exactly once sample, so a
+  /// retransmission ambiguity never poisons the estimator), the RACK
+  /// update, and the spurious-resend check behind the Eifel undo.
+  void ackFrameLocked(const StreamKey& key, SendStream& ss, std::uint64_t seq,
                       const SendStream::Pending& p, TimePoint now) {
     if (mAckLatencyUs != nullptr) {
       mAckLatencyUs->record(
           static_cast<std::uint64_t>(toMicros(now - p.enqueued)));
     }
-    if (!p.retransmitted) sampleRttLocked(src, now - p.lastSent);
+    const Duration rtt = now - p.lastSent;
+    if (!p.retransmitted) {
+      sampleRttLocked(key.peer, rtt);
+      // Overtaken by a later send yet never resent: reordering, measured
+      // directly.  The window grows to cover it before it costs a resend.
+      if (!sentAfter(p.lastSent, seq, ss.rack.xmit, ss.rack.seq)) {
+        widenReoWndLocked(ss, peerRtt[key.peer], rtt - ss.rack.rtt);
+      }
+    } else {
+      const bool inEpisode = ss.undo.armed && p.lastSent >= ss.undo.since;
+      const PeerRtt& pr = peerRtt[key.peer];
+      if (!pr.hasSample || rtt >= pr.minRtt) {
+        if (inEpisode) ss.undo.armed = false;  // the cut was warranted
+      } else {
+        // Acked sooner than the path can answer the resend: the original
+        // got through, so the resend was spurious.  Its RTT is ambiguous
+        // and teaches RACK nothing.
+        ++stats.spuriousRetransmits;
+        widenReoWndLocked(ss, pr, pr.minRtt / 4 * (ss.rack.reoWndSteps + 1));
+        if (inEpisode && --ss.undo.resends == 0) undoCutLocked(key, ss);
+        return;
+      }
+    }
+    if (sentAfter(p.lastSent, seq, ss.rack.xmit, ss.rack.seq)) {
+      ss.rack.xmit = p.lastSent;
+      ss.rack.seq = seq;
+      ss.rack.rtt = rtt;
+    }
+  }
+
+  /// Widens the reorder window to cover `span`, in whole minRtt/4 steps and
+  /// never past srtt.
+  static void widenReoWndLocked(SendStream& ss, const PeerRtt& pr,
+                                Duration span) {
+    const Duration step = pr.minRtt / 4;
+    if (step <= Duration::zero() || span <= Duration::zero()) return;
+    const auto steps = [step](Duration d) {
+      return static_cast<std::uint32_t>((d + step - Duration(1)) / step);
+    };
+    ss.rack.reoWndSteps = std::max(ss.rack.reoWndSteps,
+                                   std::min(steps(span), steps(pr.srtt)));
+  }
+
+  /// Every resend since the last cut proved spurious: restore the window.
+  void undoCutLocked(const StreamKey& key, SendStream& ss) {
+    ss.cwnd = std::max(ss.cwnd, ss.undo.cwnd);
+    ss.ssthresh = std::max(ss.ssthresh, ss.undo.ssthresh);
+    ss.undo.armed = false;
+    if (mCwnd != nullptr) mCwnd->set(static_cast<std::int64_t>(ss.cwnd));
+    if (trace != nullptr) {
+      trace->emit("reliable", "loss.undo",
+                  "cwnd restored to " +
+                      std::to_string(static_cast<std::int64_t>(ss.cwnd)) +
+                      " to " + key.peer.toString(),
+                  static_cast<std::int64_t>(key.streamId));
+    }
   }
 
   void onAckBlocks(const NodeAddress& src,
@@ -595,7 +728,8 @@ struct ReliableEndpoint::Impl {
       bool ackedAny = false;
       const TimePoint now = clk->now();
       for (const AckBlock& b : blocks) {
-        const auto it = sendStreams.find(StreamKey{src, b.streamId});
+        const StreamKey key{src, b.streamId};
+        const auto it = sendStreams.find(key);
         if (it == sendStreams.end()) continue;
         SendStream& ss = it->second;
         if (b.epoch != ss.epoch) continue;  // ack for a previous epoch
@@ -603,18 +737,14 @@ struct ReliableEndpoint::Impl {
         // cumAck = receiver's nextExpected: everything below is delivered.
         const auto ackedEnd = ss.pending.lower_bound(b.cumAck);
         for (auto it2 = ss.pending.begin(); it2 != ackedEnd; ++it2) {
-          ackFrameLocked(src, it2->second, now);
+          ackFrameLocked(key, ss, it2->first, it2->second, now);
           ++newlyAcked;
         }
         ss.pending.erase(ss.pending.begin(), ackedEnd);
-        // Highest sequence number the receiver provably holds: dup-SACK
-        // evidence for every lower frame still pending.
-        std::uint64_t evidenceAbove = b.cumAck;  // exclusive bound
         for (std::uint64_t sack : b.sacks) {
-          evidenceAbove = std::max(evidenceAbove, sack);
           const auto it2 = ss.pending.find(sack);
           if (it2 == ss.pending.end()) continue;
-          ackFrameLocked(src, it2->second, now);
+          ackFrameLocked(key, ss, sack, it2->second, now);
           ss.pending.erase(it2);
           ++newlyAcked;
         }
@@ -622,31 +752,9 @@ struct ReliableEndpoint::Impl {
           ackedAny = true;
           ackGrowLocked(ss, newlyAcked);
         }
-        // Fast retransmit: a frame the receiver is provably missing while
-        // later frames keep landing is resent after fastRetransmitDups
-        // blocks of evidence — recovery in ~one RTT instead of an RTO.
-        if (!ss.failed && evidenceAbove > 0 &&
-            cfg.fastRetransmitDups != UINT32_MAX) {
-          for (auto& [seq, p] : ss.pending) {
-            if (seq >= evidenceAbove) break;  // map is seq-ordered
-            if (p.retransmitted) continue;    // timer or fast path already did
-            if (++p.dupEvidence < cfg.fastRetransmitDups) continue;
-            if (now - p.enqueued > cfg.deliveryTimeout) continue;  // doomed
-            lossCutLocked(ss, seq, /*timerExpiry=*/false);
-            p.retransmitted = true;
-            p.backoff = rtoForLocked(src);
-            p.nextResend = now + p.backoff;
-            p.lastSent = now;
-            stageDataLocked(batch, StreamKey{src, b.streamId}, ss, seq,
-                            p.envelope);
-            ++stats.retransmits;
-            ++stats.fastRetransmits;
-            stats.retransmitBytes += p.envelope.size();
-            if (mFastRetransmits != nullptr) mFastRetransmits->inc();
-          }
-        }
+        if (!ss.failed) detectLossesLocked(batch, key, ss, now);
         // Acks freed window space: move queued frames into flight.
-        transmitQueuedLocked(batch, StreamKey{src, b.streamId}, ss, now);
+        transmitQueuedLocked(batch, key, ss, now);
       }
       if (ackedAny && !anyPendingLocked()) clk->notifyAll(flushed);
     }
@@ -698,21 +806,18 @@ struct ReliableEndpoint::Impl {
           ss.sendQueue.clear();
           continue;
         }
-        // ---- phase 2: timer-driven retransmissions ----------------------
+        // ---- phase 2: RACK reorder deadlines, then the timer -------------
+        detectLossesLocked(batch, key, ss, now);
         for (auto& [seq, pending] : ss.pending) {
           if (now < pending.nextResend) continue;
-          lossCutLocked(ss, seq, /*timerExpiry=*/true);
-          pending.retransmitted = true;
+          lossCutLocked(ss, seq, /*timerExpiry=*/true, now);
           pending.backoff = std::min(pending.backoff * 2, cfg.maxRto);
           pending.nextResend = now + pending.backoff;
           PeerRtt& pr = peerRtt[key.peer];
           if (!pr.hasSample) {
             pr.noSampleRto = std::max(pr.noSampleRto, pending.backoff);
           }
-          pending.lastSent = now;
-          stageDataLocked(batch, key, ss, seq, pending.envelope);
-          ++stats.retransmits;
-          stats.retransmitBytes += pending.envelope.size();
+          resendLocked(batch, key, ss, seq, pending, now);
         }
         // ---- phase 3: window openings (acks shrank the flight) ----------
         transmitQueuedLocked(batch, key, ss, now);
@@ -913,6 +1018,8 @@ void ReliableEndpoint::resetStream(const NodeAddress& dst,
     it->second.cwnd = static_cast<double>(impl_->cfg.initialCwnd);
     it->second.ssthresh = static_cast<double>(impl_->cfg.maxCwnd);
     it->second.recoverSeq = 0;
+    it->second.rack = {};
+    it->second.undo = {};
   }
 }
 

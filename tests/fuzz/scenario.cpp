@@ -321,12 +321,12 @@ ScenarioResult runScenario(std::uint64_t seed,
     // Canary bug: the first transmission is the only one.  Lossy seeds must
     // now fail the delivery oracle.  The adaptive sender must be fully
     // pinned: minRto keeps the SRTT estimator from collapsing the RTO back
-    // under the horizon, and fastRetransmitDups keeps dup-SACK evidence
+    // under the horizon, and fastRetransmit = false keeps RACK loss detection
     // from resurrecting lost frames without the timer.
     cfg.reliable.rto = seconds(30);
     cfg.reliable.minRto = seconds(30);
     cfg.reliable.maxRto = seconds(30);
-    cfg.reliable.fastRetransmitDups = UINT32_MAX;
+    cfg.reliable.fastRetransmit = false;
     cfg.reliable.deliveryTimeout = seconds(20);
   }
 

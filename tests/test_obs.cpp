@@ -196,6 +196,8 @@ TEST(ObsWiring, LossyLinkShowsUpAsRetransmitsAndDrops) {
             static_cast<std::uint64_t>(kMessages));
   EXPECT_GT(sender.counters.at("reliable.retransmits"), 0u)
       << "10% loss must force retransmissions";
+  EXPECT_LE(sender.counters.at("reliable.spurious_retransmits"),
+            sender.counters.at("reliable.retransmits"));
   EXPECT_GT(sender.counters.at("net.datagrams_out"), 0u);
   EXPECT_GT(sender.histograms.at("reliable.ack_latency_us").count, 0u);
 

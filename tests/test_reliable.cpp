@@ -1,6 +1,7 @@
 // Tests for the reliable ordering layer: FIFO delivery under loss, jitter
 // and duplication; delivery-timeout exceptions; flushing; stream isolation;
-// ack coalescing (delay/threshold flushes, dup-ack suppression).
+// ack coalescing (delay/threshold flushes, dup-ack suppression); reorder
+// tolerance (RACK loss detection, spurious-resend undo, gap-driven acks).
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -404,10 +405,12 @@ TEST(ReliableAcks, PiggybackedAcksRideReverseTraffic) {
 
 namespace {
 /// Two reliable endpoints on DISTINCT simulated hosts over virtual time,
-/// so setPartition(1, 2, ...) can cut the path between them.
+/// so setPartition(1, 2, ...) can cut the path between them.  The sender
+/// records into `metrics`.
 struct VirtualDuo {
   testkit::VirtualClock clock;
   SimNetwork net;
+  obs::MetricsRegistry metrics;
   ReliableEndpoint a;
   ReliableEndpoint b;
 
@@ -421,7 +424,7 @@ struct VirtualDuo {
               o.clock = &clock;
               return o;
             }()),
-        a((net.setDefaultLink(link), net.openAt(1)), cfg, nullptr, &clock),
+        a((net.setDefaultLink(link), net.openAt(1)), cfg, &metrics, &clock),
         b(net.openAt(2), cfg, nullptr, &clock) {}
 
   ~VirtualDuo() {
@@ -584,7 +587,8 @@ TEST(ReliableAdaptive, TimerExpiryCollapsesWindowAndRecoveryRegrows) {
 TEST(ReliableAdaptive, FastRetransmitRecoversBeforeTimer) {
   // The retransmission timer is pinned at 10s — hopeless for this test's
   // virtual horizon — so the single dropped frame can only be recovered by
-  // duplicate-SACK fast retransmit.
+  // RACK loss detection, on a link whose jitter reorders the frames around
+  // it.
   ReliableConfig cfg;
   cfg.tickInterval = milliseconds(2);
   cfg.rto = seconds(10);
@@ -592,30 +596,161 @@ TEST(ReliableAdaptive, FastRetransmitRecoversBeforeTimer) {
   cfg.maxRto = seconds(10);
   cfg.deliveryTimeout = seconds(60);
   cfg.initialCwnd = 64;  // keep the whole burst in flight
-  VirtualDuo pair(55, cfg,
-                  LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
+  const LinkParams jittered{milliseconds(1), microseconds(500), 0.0, 0.0};
+  VirtualDuo pair(55, cfg, jittered);
   OrderedSink sink;
   pair.b.setDeliver(sink.fn());
-  for (int i = 0; i < 10; ++i) {
-    pair.a.send(pair.b.address(), 1, std::to_string(i));
-  }
-  // Drop exactly one frame via a 100%-loss window...
-  pair.net.setDefaultLink(
-      LinkParams{milliseconds(1), microseconds(0), 1.0, 0.0});
-  pair.a.send(pair.b.address(), 1, "10");
-  pair.net.setDefaultLink(
-      LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
-  // ...then keep traffic flowing so SACK evidence accumulates.
-  for (int i = 11; i < 31; ++i) {
-    pair.a.send(pair.b.address(), 1, std::to_string(i));
-  }
+  // Sent from the clock's scheduler, where virtual time stands still, so
+  // the host's scheduling cannot spread the burst out.
+  pair.clock.after(milliseconds(1), [&] {
+    for (int i = 0; i < 10; ++i) {
+      pair.a.send(pair.b.address(), 1, std::to_string(i));
+    }
+    // Drop exactly one frame via a 100%-loss window...
+    LinkParams dark = jittered;
+    dark.lossProb = 1.0;
+    pair.net.setDefaultLink(dark);
+    pair.a.send(pair.b.address(), 1, "10");
+    pair.net.setDefaultLink(jittered);
+    // ...then keep traffic flowing so later frames get acknowledged.
+    for (int i = 11; i < 31; ++i) {
+      pair.a.send(pair.b.address(), 1, std::to_string(i));
+    }
+  });
   ASSERT_TRUE(sink.waitFor(1, 31, seconds(20)));
   ASSERT_TRUE(pair.a.flush(seconds(10)));
   const auto stats = pair.a.stats();
-  EXPECT_EQ(stats.fastRetransmits, 1u);
-  EXPECT_EQ(stats.retransmits, 1u);  // the timer path never fired
+  EXPECT_GE(stats.fastRetransmits, 1u);
+  EXPECT_EQ(stats.retransmits, stats.fastRetransmits);  // the timer never fired
+  EXPECT_LE(stats.retransmits, 3u);  // the jitter caused no resend storm
   const auto got = sink.get(1);
   for (int i = 0; i < 31; ++i) EXPECT_EQ(got[i], std::to_string(i));
+}
+
+// ---------------------------------------------------------------------------
+// Reorder tolerance: RACK loss detection, Eifel undo, gap-driven acks
+// ---------------------------------------------------------------------------
+
+TEST(ReliableReorder, JitterAloneCausesAlmostNoRetransmits) {
+  // Experiment E1's lossless shape: 0.2ms delay + 0.4ms jitter reorders
+  // most of a 400-frame burst.  Reordering is not loss: over ten seeds at
+  // most 1% of the frames may be resent (single seeds reach ~3% when the
+  // jitter first outgrows the reorder window), and FIFO always holds.
+  ReliableConfig cfg;
+  cfg.tickInterval = milliseconds(2);
+  cfg.rto = milliseconds(8);
+  cfg.maxRto = milliseconds(100);
+  constexpr int kSeeds = 10;
+  constexpr int kCount = 400;
+  std::uint64_t retransmits = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    VirtualDuo pair(70 + seed, cfg,
+                    LinkParams{microseconds(200), microseconds(400), 0.0,
+                               0.0});
+    OrderedSink sink;
+    pair.b.setDeliver(sink.fn());
+    // Admitted from the clock's scheduler in one instant, so host load
+    // cannot spread the burst over virtual time.
+    pair.clock.after(milliseconds(1), [&] {
+      for (int i = 0; i < kCount; ++i) {
+        pair.a.send(pair.b.address(), 1, std::to_string(i));
+      }
+    });
+    ASSERT_TRUE(sink.waitFor(1, kCount, seconds(20))) << "seed " << seed;
+    ASSERT_TRUE(pair.a.flush(seconds(10)));
+    EXPECT_GT(pair.b.stats().outOfOrderBuffered, 0u);  // it did reorder
+    retransmits += pair.a.stats().retransmits;
+    const auto got = sink.get(1);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kCount));
+    for (int i = 0; i < kCount; ++i) EXPECT_EQ(got[i], std::to_string(i));
+  }
+  EXPECT_LE(retransmits, kSeeds * kCount / 100u);
+}
+
+TEST(ReliableReorder, SpuriousRetransmissionRestoresWindow) {
+  // One frame takes a 3.2ms path while its successors take 1ms: RACK
+  // declares it lost (2ms RTT + 0.5ms reorder window) and cuts the window.
+  // The original then lands first and its ack returns sooner than the 2ms
+  // minimum RTT after the resend, which proves the resend spurious: the
+  // cut is undone and the reorder window widens.
+  ReliableConfig cfg;
+  cfg.tickInterval = milliseconds(1);
+  cfg.rto = seconds(1);
+  cfg.minRto = seconds(1);
+  cfg.maxRto = seconds(1);
+  cfg.deliveryTimeout = seconds(60);
+  cfg.initialCwnd = 16;
+  cfg.ackEvery = 1;  // every arrival acked at once: RTT is exactly 2ms
+  const LinkParams fast{milliseconds(1), microseconds(0), 0.0, 0.0};
+  VirtualDuo pair(61, cfg, fast);
+  OrderedSink sink;
+  pair.b.setDeliver(sink.fn());
+  constexpr int kWarm = 20;
+  for (int i = 0; i < kWarm; ++i) {
+    pair.a.send(pair.b.address(), 1, std::to_string(i));
+  }
+  ASSERT_TRUE(sink.waitFor(1, kWarm, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto before = pair.a.probeStream(pair.b.address(), 1);
+  // Sent from the clock's scheduler, where virtual time stands still, so
+  // all nine frames leave at the same instant.
+  pair.clock.after(milliseconds(1), [&] {
+    pair.net.setDefaultLink(
+        LinkParams{microseconds(3200), microseconds(0), 0.0, 0.0});
+    pair.a.send(pair.b.address(), 1, "late");
+    pair.net.setDefaultLink(fast);
+    for (int i = 0; i < 8; ++i) {
+      pair.a.send(pair.b.address(), 1, "next-" + std::to_string(i));
+    }
+  });
+  ASSERT_TRUE(sink.waitFor(1, kWarm + 9, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto stats = pair.a.stats();
+  EXPECT_EQ(stats.fastRetransmits, 1u);
+  EXPECT_EQ(stats.spuriousRetransmits, 1u);
+  const auto after = pair.a.probeStream(pair.b.address(), 1);
+  EXPECT_GE(after.cwnd, before.cwnd);
+  EXPECT_GE(after.ssthresh, before.ssthresh);
+  bool sawUndo = false;
+  for (const obs::TraceEvent& ev : pair.metrics.trace().events()) {
+    if (std::string_view(ev.category) == "reliable" && ev.name == "loss.undo") {
+      sawUndo = true;
+    }
+  }
+  EXPECT_TRUE(sawUndo);
+  EXPECT_EQ(sink.get(1)[kWarm], "late");
+}
+
+TEST(ReliableReorder, InOrderStreamAcksOncePerAckEvery) {
+  // Gap-driven acks must leave an in-order stream alone: a lossless,
+  // jitter-free stream still costs one ack datagram per ackEvery frames.
+  ReliableConfig cfg = fastConfig();
+  cfg.ackPiggyback = false;
+  cfg.initialCwnd = 64;
+  VirtualDuo pair(62, cfg);
+  OrderedSink sink;
+  pair.b.setDeliver(sink.fn());
+  // One ackEvery-sized burst per millisecond, sent from the clock's
+  // scheduler so host load cannot move the send times.
+  constexpr int kSteps = 100;
+  for (int step = 0; step < kSteps; ++step) {
+    pair.clock.after(milliseconds(1 + step), [&] {
+      std::vector<OutSend> sends;
+      for (std::uint32_t i = 0; i < cfg.ackEvery; ++i) {
+        sends.push_back(OutSend{pair.b.address(), "x"});
+      }
+      pair.a.sendMany(std::move(sends), 1, Payload());
+    });
+  }
+  const std::size_t total = kSteps * cfg.ackEvery;
+  ASSERT_TRUE(sink.waitFor(1, total, seconds(10)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  const auto stats = pair.b.stats();
+  EXPECT_EQ(stats.delivered, total);
+  EXPECT_EQ(stats.outOfOrderBuffered, 0u);
+  EXPECT_EQ(stats.ackFramesSent, total / cfg.ackEvery);
+  EXPECT_EQ(pair.a.stats().retransmits, 0u)
+      << pair.a.stats().fastRetransmits << " of them fast";
 }
 
 TEST(ReliableAdaptive, FailedStreamStaysSilentAndFlushExReportsIt) {
@@ -692,7 +827,6 @@ TEST(ReliableConfigNormalize, ClampsEveryInconsistentKnob) {
   cfg.ackEvery = 0;
   cfg.initialCwnd = 0;
   cfg.maxCwnd = 0;
-  cfg.fastRetransmitDups = 0;
   cfg.minRto = microseconds(1);
   cfg.rto = microseconds(1);
   cfg.maxRto = microseconds(1);
@@ -703,7 +837,6 @@ TEST(ReliableConfigNormalize, ClampsEveryInconsistentKnob) {
   EXPECT_GE(out.ackEvery, 1u);
   EXPECT_GE(out.initialCwnd, 1u);
   EXPECT_GE(out.maxCwnd, out.initialCwnd);
-  EXPECT_GE(out.fastRetransmitDups, 1u);
   EXPECT_GE(out.minRto, 2 * out.tickInterval);
   EXPECT_GE(out.rto, out.minRto);
   EXPECT_GE(out.maxRto, out.rto);
