@@ -61,9 +61,11 @@ struct ReliableConfig {
   Duration minRto = milliseconds(15);
   /// Exponential per-frame backoff cap (RTO, 2*RTO, ... up to this).
   Duration maxRto = milliseconds(500);
-  /// Congestion window at stream creation and after resetStream, in frames.
+  /// Congestion window at stream creation and after resetStream, in
+  /// datagrams.  One datagram carries one frame, or a bundle of frames
+  /// that waited behind the window or are resent together (DESIGN.md §11).
   std::uint32_t initialCwnd = 4;
-  /// Congestion window ceiling, in frames.
+  /// Congestion window ceiling, in datagrams.
   std::uint32_t maxCwnd = 256;
   /// Time-based loss detection (RACK, RFC 8985): a pending frame is resent
   /// before its timer once a frame sent after it has been acknowledged and
@@ -235,6 +237,9 @@ class ReliableEndpoint {
     /// Frames admitted but parked behind the congestion window instead of
     /// transmitted immediately.
     std::uint64_t windowDeferred = 0;
+    /// Frames, first sends or resends, that left in a multi-frame bundle
+    /// datagram rather than alone.
+    std::uint64_t bundledFrames = 0;
     /// Payload bytes of first transmissions / of resends / handed to the
     /// DeliverFn.  retransmitBytes / dataBytes is the retransmit-efficiency
     /// ratio the fuzz oracle and bench_transport bound.
@@ -279,9 +284,9 @@ class ReliableEndpoint {
   struct StreamProbe {
     bool exists = false;
     bool failed = false;
-    double cwnd = 0;          ///< congestion window, frames
+    double cwnd = 0;          ///< congestion window, datagrams
     std::uint64_t ssthresh = 0;
-    std::size_t inFlight = 0;  ///< transmitted, unacked
+    std::size_t inFlight = 0;  ///< frames transmitted, unacked
     std::size_t queued = 0;    ///< admitted, waiting for window space
   };
   StreamProbe probeStream(const NodeAddress& dst, std::uint64_t streamId) const;

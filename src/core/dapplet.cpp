@@ -331,6 +331,7 @@ obs::MetricsSnapshot Dapplet::metrics() const {
   snap.counters["reliable.spurious_retransmits"] += rs.spuriousRetransmits;
   snap.counters["reliable.rtt_samples"] += rs.rttSamples;
   snap.counters["reliable.window_deferred"] += rs.windowDeferred;
+  snap.counters["reliable.bundled_frames"] += rs.bundledFrames;
   snap.counters["reliable.data_bytes"] += rs.dataBytes;
   snap.counters["reliable.retransmit_bytes"] += rs.retransmitBytes;
   snap.counters["reliable.delivered_bytes"] += rs.deliveredBytes;

@@ -6,6 +6,8 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -22,7 +24,11 @@ namespace {
 constexpr const char* kLog = "reliable";
 constexpr std::uint64_t kKindData = 0;
 constexpr std::uint64_t kKindAck = 1;
+constexpr std::uint64_t kKindBundle = 2;
 constexpr std::size_t kMaxSack = 32;
+/// Largest bundle datagram: QUIC's safe datagram size (RFC 9000 §14.1),
+/// which fits every path MTU an internet peer can be expected to carry.
+constexpr std::size_t kMaxBundle = 1200;
 
 std::int64_t toMicros(Duration d) {
   return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
@@ -64,17 +70,20 @@ void writeAckBlocks(WireWriter& w, const std::vector<AckBlock>& blocks) {
   }
 }
 
+/// List counts come off the wire, so they only cap a reservation: a count
+/// larger than the frame runs the reader off its end (SerializationError)
+/// instead of asking the allocator for it.
 std::vector<AckBlock> readAckBlocks(WireReader& r) {
   const std::size_t n = r.beginList();
   std::vector<AckBlock> blocks;
-  blocks.reserve(n);
+  blocks.reserve(std::min(n, kMaxSack));
   for (std::size_t i = 0; i < n; ++i) {
     AckBlock b;
     b.streamId = r.readU64();
     b.epoch = r.readU64();
     b.cumAck = r.readU64();
     const std::size_t k = r.beginList();
-    b.sacks.reserve(k);
+    b.sacks.reserve(std::min(k, kMaxSack));
     for (std::size_t j = 0; j < k; ++j) b.sacks.push_back(r.readU64());
     blocks.push_back(std::move(b));
   }
@@ -226,7 +235,7 @@ struct ReliableEndpoint::Impl {
     std::uint64_t nextSeq = 0;
     bool failed = false;
     std::string failReason;
-    // ---- congestion control (slow start + AIMD, in frames) -------------
+    // ---- congestion control (slow start + AIMD, in datagrams) ----------
     double cwnd = 0;          ///< seeded from cfg.initialCwnd on creation
     double ssthresh = 0;      ///< slow start below, additive increase above
     std::uint64_t recoverSeq = 0;  ///< no second window cut until acks pass
@@ -261,8 +270,11 @@ struct ReliableEndpoint::Impl {
       TimePoint nextResend;
       Duration backoff;
       bool retransmitted = false;  ///< Karn's rule: never RTT-sample
+      std::uint64_t dgram = 0;     ///< the datagram it last rode in
     };
-    std::map<std::uint64_t, Pending> pending;  // in flight (<= window)
+    std::map<std::uint64_t, Pending> pending;  // in flight
+    /// A pending frame picked for a resend.
+    using PendingRef = std::pair<std::uint64_t, Pending*>;
     /// Frames admitted beyond the window: they hold their sequence number
     /// and shared envelope but have never touched the wire.  The delivery
     /// timeout runs from admission for these too.
@@ -272,14 +284,47 @@ struct ReliableEndpoint::Impl {
       TimePoint enqueued;
     };
     std::deque<Queued> sendQueue;
+    /// The flight the window counts, in datagrams.  dgramLive[i] holds the
+    /// live frames (neither acked nor resent since) of datagram
+    /// dgramBase + i; a datagram leaves the flight when that reaches zero.
+    std::size_t dgramsInFlight = 0;
+    std::uint64_t dgramBase = 0;
+    std::deque<std::uint32_t> dgramLive;
+
+    /// Puts a datagram of `frames` frames in flight; returns its id.
+    std::uint64_t openDatagram(std::uint32_t frames) {
+      dgramLive.push_back(frames);
+      ++dgramsInFlight;
+      return dgramBase + dgramLive.size() - 1;
+    }
+    /// One frame left datagram `id` (acked or resent).  True when it was
+    /// the last live one, so the datagram left the flight.
+    bool leaveDatagram(std::uint64_t id) {
+      if (--dgramLive[id - dgramBase] != 0) return false;
+      --dgramsInFlight;
+      while (!dgramLive.empty() && dgramLive.front() == 0) {
+        dgramLive.pop_front();
+        ++dgramBase;
+      }
+      return true;
+    }
+    /// Discards every in-flight and queued frame (failure, reset).
+    void dropFrames() {
+      pending.clear();
+      sendQueue.clear();
+      dgramsInFlight = 0;
+      dgramBase += dgramLive.size();
+      dgramLive.clear();
+    }
   };
   std::unordered_map<StreamKey, SendStream, StreamKeyHash> sendStreams;
 
   /// Receiver-side state per incoming stream.
+  using Buffered = std::map<std::uint64_t, std::string>;
   struct RecvStream {
     std::uint64_t epoch = 0;
     std::uint64_t nextExpected = 0;
-    std::map<std::uint64_t, std::string> buffered;  // out-of-order frames
+    Buffered buffered;  // out-of-order frames
     // ---- coalesced-ack state ------------------------------------------
     bool ackPending = false;   ///< >=1 arrival not yet acknowledged
     TimePoint pendingSince{};  ///< when ackPending last became true
@@ -322,11 +367,24 @@ struct ReliableEndpoint::Impl {
     return it->second;
   }
 
-  /// Frames this stream may have in flight right now.
+  /// Datagrams this stream may have in flight right now.
   std::size_t windowLocked(const SendStream& ss) const {
     const double w =
         std::clamp(ss.cwnd, 1.0, static_cast<double>(cfg.maxCwnd));
     return static_cast<std::size_t>(w);
+  }
+
+  /// Whether frames may share a datagram: only once the peer's RTT has a
+  /// clean sample.  First sends also wait for congestion avoidance: in slow
+  /// start the window doubles every RTT anyway, and one frame per datagram
+  /// gives every frame its own RTT sample and reordering evidence.  Resends
+  /// never sample (Karn's rule), so they pack in slow start too, which
+  /// includes the restart from one datagram after a timer expiry.
+  bool bundlingLocked(const StreamKey& key, const SendStream& ss,
+                      bool resend) const {
+    if (!resend && ss.cwnd < ss.ssthresh) return false;
+    const auto it = peerRtt.find(key.peer);
+    return it != peerRtt.end() && it->second.hasSample;
   }
 
   // ---- RTT estimation (Jacobson/Karels, RFC 6298 coefficients) ----------
@@ -417,29 +475,102 @@ struct ReliableEndpoint::Impl {
     return out;
   }
 
-  /// Assembles one DATA frame (collecting any piggyback acks owed to the
-  /// peer) and stages it on `batch`.  Caller holds `mutex`.
-  void stageDataLocked(std::vector<Datagram>& batch, const StreamKey& key,
-                       const SendStream& ss, std::uint64_t seq,
-                       const WireBuffer& envelope) {
+  /// A frame about to go on the wire: its sequence number and envelope.
+  struct OutFrame {
+    std::uint64_t seq;
+    const WireBuffer& envelope;
+  };
+
+  /// Stages one datagram to `key.peer` carrying frame 0 of `count`
+  /// candidates (`frameAt(i)` yields the i-th) — and, when `bundle`, the
+  /// candidates after it that fit in kMaxBundle bytes and the transport's
+  /// datagram limit, as one bundle:
+  ///   [kKindBundle, streamId, epoch, ack blocks, list of (seq, body)]
+  /// A datagram that ends up with one frame is a plain DATA frame.  Returns
+  /// the number of frames staged.  Caller holds `mutex`.
+  template <class FrameAt>
+  std::size_t stageDatagramLocked(std::vector<Datagram>& batch,
+                                  const StreamKey& key, const SendStream& ss,
+                                  std::size_t count, bool bundle,
+                                  FrameAt frameAt) {
+    // The ack blocks owed to the peer ride along.
     const std::vector<AckBlock> piggyback =
         cfg.ackPiggyback ? collectAckBlocksLocked(key.peer)
                          : std::vector<AckBlock>{};
+    if (bundle && count > 1) {
+      const std::size_t limit = std::min(kMaxBundle, raw->maxDatagramSize());
+      std::string out;
+      out.reserve(limit);
+      WireWriter w(cfg.codec, out);
+      w.writeU64(kKindBundle);
+      w.writeU64(key.streamId);
+      w.writeU64(ss.epoch);
+      writeAckBlocks(w, piggyback);
+      // A writer's only state is its buffer, so a token's exact size is
+      // measured by writing it and cutting it off again.
+      const std::size_t header = out.size();
+      const auto measure = [&](auto write) {
+        write();
+        const std::size_t n = out.size() - header;
+        out.resize(header);
+        return n;
+      };
+      std::size_t size = header + measure([&] { w.beginList(count); });
+      std::size_t n = 0;
+      for (; n < count; ++n) {
+        const OutFrame f = frameAt(n);
+        const std::size_t add = f.envelope.size() + measure([&] {
+                                  w.writeU64(f.seq);
+                                  w.beginString(f.envelope.size());
+                                });
+        if (size + add > limit) break;
+        size += add;
+      }
+      if (n > 1) {
+        w.beginList(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const OutFrame f = frameAt(i);
+          w.writeU64(f.seq);
+          w.beginString(f.envelope.size());
+          f.envelope.appendTo(out);
+        }
+        stats.payloadCopies += n;
+        stats.bundledFrames += n;
+        batch.push_back(Datagram{key.peer, std::move(out)});
+        return n;
+      }
+    }
+    const OutFrame f = frameAt(0);
     batch.push_back(Datagram{
         key.peer,
-        assembleData(key.streamId, ss.epoch, seq, piggyback, envelope)});
+        assembleData(key.streamId, ss.epoch, f.seq, piggyback, f.envelope)});
+    return 1;
   }
 
-  /// Puts a pending frame back on the wire; the caller rearms its timer.
+  /// Puts pending frames back on the wire, packed into bundles when the
+  /// stream may bundle; the caller has already rearmed their timers.
   void resendLocked(std::vector<Datagram>& batch, const StreamKey& key,
-                    SendStream& ss, std::uint64_t seq, SendStream::Pending& p,
+                    SendStream& ss,
+                    std::span<const SendStream::PendingRef> frames,
                     TimePoint now) {
-    p.retransmitted = true;
-    p.lastSent = now;
-    if (ss.undo.armed) ++ss.undo.resends;
-    stageDataLocked(batch, key, ss, seq, p.envelope);
-    ++stats.retransmits;
-    stats.retransmitBytes += p.envelope.size();
+    for (const auto& [seq, p] : frames) {
+      p->retransmitted = true;
+      p->lastSent = now;
+      ss.leaveDatagram(p->dgram);
+      if (ss.undo.armed) ++ss.undo.resends;
+      ++stats.retransmits;
+      stats.retransmitBytes += p->envelope.size();
+    }
+    const bool bundle = bundlingLocked(key, ss, /*resend=*/true);
+    for (std::size_t i = 0; i < frames.size();) {
+      const std::size_t n = stageDatagramLocked(
+          batch, key, ss, frames.size() - i, bundle, [&](std::size_t k) {
+            return OutFrame{frames[i + k].first, frames[i + k].second->envelope};
+          });
+      const std::uint64_t dgram = ss.openDatagram(n);
+      for (std::size_t k = 0; k < n; ++k) frames[i + k].second->dgram = dgram;
+      i += n;
+    }
   }
 
   /// RFC 8985 order of sends: a later last send, ties broken by sequence.
@@ -459,6 +590,7 @@ struct ReliableEndpoint::Impl {
     const PeerRtt& pr = pit->second;
     const Duration deadline =
         ss.rack.rtt + std::min(pr.minRtt / 4 * ss.rack.reoWndSteps, pr.srtt);
+    std::vector<SendStream::PendingRef> lost;
     for (auto& [seq, p] : ss.pending) {
       if (!sentAfter(ss.rack.xmit, ss.rack.seq, p.lastSent, seq) ||
           now - p.lastSent < deadline) {
@@ -469,35 +601,49 @@ struct ReliableEndpoint::Impl {
       }
       if (now - p.enqueued > cfg.deliveryTimeout) continue;  // doomed
       lossCutLocked(ss, seq, /*timerExpiry=*/false, now);
-      resendLocked(batch, key, ss, seq, p, now);
       p.backoff = rtoForLocked(key.peer);
       p.nextResend = now + p.backoff;
-      ++stats.fastRetransmits;
-      if (mFastRetransmits != nullptr) mFastRetransmits->inc();
+      lost.emplace_back(seq, &p);
     }
+    if (lost.empty()) return;
+    resendLocked(batch, key, ss, lost, now);
+    stats.fastRetransmits += lost.size();
+    if (mFastRetransmits != nullptr) mFastRetransmits->inc(lost.size());
   }
 
-  /// Moves queued frames into flight while the window has room.  Frames
-  /// already past the delivery timeout stay queued — the next tick declares
-  /// the stream failed, and transmitting a doomed frame wastes wire.
+  /// Moves queued frames into flight while the window has room, packing
+  /// them into bundles when the stream may bundle.  Frames already past
+  /// the delivery timeout stay queued — the next tick declares the stream
+  /// failed, and transmitting a doomed frame wastes wire.
   void transmitQueuedLocked(std::vector<Datagram>& batch,
                             const StreamKey& key, SendStream& ss,
                             TimePoint now) {
+    if (ss.sendQueue.empty()) return;
     const std::size_t window = windowLocked(ss);
-    while (!ss.sendQueue.empty() && ss.pending.size() < window) {
-      SendStream::Queued& q = ss.sendQueue.front();
-      if (now - q.enqueued > cfg.deliveryTimeout) return;
-      SendStream::Pending p;
-      p.envelope = std::move(q.envelope);
-      p.enqueued = q.enqueued;
-      p.lastSent = now;
-      p.backoff = rtoForLocked(key.peer);
-      p.nextResend = now + p.backoff;
-      stageDataLocked(batch, key, ss, q.seq, p.envelope);
-      ++stats.dataSent;
-      stats.dataBytes += p.envelope.size();
-      ss.pending.emplace(q.seq, std::move(p));
-      ss.sendQueue.pop_front();
+    const bool bundle = bundlingLocked(key, ss, /*resend=*/false);
+    while (!ss.sendQueue.empty() && ss.dgramsInFlight < window) {
+      // Admission order is time order: if the head is not doomed, no frame
+      // behind it is either.
+      if (now - ss.sendQueue.front().enqueued > cfg.deliveryTimeout) return;
+      const std::size_t n = stageDatagramLocked(
+          batch, key, ss, ss.sendQueue.size(), bundle, [&](std::size_t i) {
+            return OutFrame{ss.sendQueue[i].seq, ss.sendQueue[i].envelope};
+          });
+      const std::uint64_t dgram = ss.openDatagram(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        SendStream::Queued& q = ss.sendQueue.front();
+        SendStream::Pending p;
+        p.envelope = std::move(q.envelope);
+        p.enqueued = q.enqueued;
+        p.lastSent = now;
+        p.backoff = rtoForLocked(key.peer);
+        p.nextResend = now + p.backoff;
+        p.dgram = dgram;
+        ++stats.dataSent;
+        stats.dataBytes += p.envelope.size();
+        ss.pending.emplace(q.seq, std::move(p));
+        ss.sendQueue.pop_front();
+      }
     }
   }
 
@@ -539,6 +685,17 @@ struct ReliableEndpoint::Impl {
     if (mDatagramsOut != nullptr) mDatagramsOut->inc(n);
   }
 
+  /// One frame of an arriving DATA or bundle datagram, and what onFrames
+  /// made of it.
+  struct RxFrame {
+    std::uint64_t seq = 0;
+    std::string_view body;
+    bool inOrder = false;     ///< delivered straight from the datagram
+    std::size_t drained = 0;  ///< buffered frames it released, in order
+  };
+
+  /// Decodes a whole datagram before any state is touched, so a malformed
+  /// one (SerializationError) has no effect at all.
   void onDatagram(const NodeAddress& src, std::string_view payload) {
     if (mDatagramsIn != nullptr) mDatagramsIn->inc();
     WireReader r(payload);
@@ -547,11 +704,25 @@ struct ReliableEndpoint::Impl {
       if (kind == kKindData) {
         const std::uint64_t streamId = r.readU64();
         const std::uint64_t epoch = r.readU64();
-        const std::uint64_t seq = r.readU64();
+        RxFrame frame;
+        frame.seq = r.readU64();
         const std::vector<AckBlock> piggyback = readAckBlocks(r);
-        const std::string_view body = r.readStringView();
+        frame.body = r.readStringView();
         if (!piggyback.empty()) onAckBlocks(src, piggyback);
-        onData(src, streamId, epoch, seq, body);
+        onFrames(src, streamId, epoch, {&frame, 1});
+      } else if (kind == kKindBundle) {
+        const std::uint64_t streamId = r.readU64();
+        const std::uint64_t epoch = r.readU64();
+        const std::vector<AckBlock> piggyback = readAckBlocks(r);
+        const std::size_t n = r.beginList();
+        std::vector<RxFrame> frames;  // n is untrusted: no reserve from it
+        for (std::size_t i = 0; i < n; ++i) {
+          RxFrame& f = frames.emplace_back();
+          f.seq = r.readU64();
+          f.body = r.readStringView();
+        }
+        if (!piggyback.empty()) onAckBlocks(src, piggyback);
+        if (!frames.empty()) onFrames(src, streamId, epoch, frames);
       } else if (kind == kKindAck) {
         onAckBlocks(src, readAckBlocks(r));
       }
@@ -561,11 +732,12 @@ struct ReliableEndpoint::Impl {
     }
   }
 
-  void onData(const NodeAddress& src, std::uint64_t streamId,
-              std::uint64_t epoch, std::uint64_t seq, std::string_view body) {
-    bool deliverHead = false;
-    std::string_view headPayload;
-    std::vector<std::string> drained;
+  /// Applies the frames of one datagram (ascending sequence numbers for a
+  /// well-formed sender) under one lock with one ack decision, then
+  /// delivers what became deliverable, in order.
+  void onFrames(const NodeAddress& src, std::uint64_t streamId,
+                std::uint64_t epoch, std::span<RxFrame> frames) {
+    std::vector<Buffered::node_type> drained;  // nodes keep their addresses
     std::string ackDatagram;
     DeliverFn deliverFn;
     {
@@ -582,43 +754,49 @@ struct ReliableEndpoint::Impl {
         return;  // stale frame from a pre-reset retransmission
       }
       const bool hadGap = !rs.buffered.empty();
-      if (seq < rs.nextExpected || rs.buffered.count(seq) != 0) {
-        ++stats.duplicates;
-        // A duplicate means our ack was lost or is still in flight.  The
-        // re-ack folds into the coalesced flush below instead of costing an
-        // immediate datagram — a burst of dups used to trigger one ack
-        // datagram each (an ack storm).
-        ++stats.dupAcksSuppressed;
-      } else if (seq == rs.nextExpected) {
-        // In order: delivered as a view into the transport's receive
-        // buffer, zero copies.
-        deliverHead = true;
-        headPayload = body;
-        ++rs.nextExpected;
-        stats.deliveredBytes += body.size();
-        // Drain any directly following buffered frames.
-        auto it = rs.buffered.begin();
-        while (it != rs.buffered.end() && it->first == rs.nextExpected) {
-          stats.deliveredBytes += it->second.size();
-          drained.push_back(std::move(it->second));
-          it = rs.buffered.erase(it);
+      bool deliveredAny = false;
+      for (RxFrame& f : frames) {
+        if (f.seq < rs.nextExpected || rs.buffered.count(f.seq) != 0) {
+          ++stats.duplicates;
+          // A duplicate means our ack was lost or is still in flight.  The
+          // re-ack folds into the coalesced flush below instead of costing
+          // an immediate datagram — a burst of dups used to trigger one ack
+          // datagram each (an ack storm).
+          ++stats.dupAcksSuppressed;
+        } else if (f.seq == rs.nextExpected) {
+          // In order: delivered as a view into the transport's receive
+          // buffer, zero copies.
+          f.inOrder = deliveredAny = true;
           ++rs.nextExpected;
+          ++stats.delivered;
+          stats.deliveredBytes += f.body.size();
+          // Drain any directly following buffered frames.
+          auto it = rs.buffered.begin();
+          while (it != rs.buffered.end() && it->first == rs.nextExpected) {
+            stats.deliveredBytes += it->second.size();
+            drained.push_back(rs.buffered.extract(it++));
+            ++f.drained;
+            ++rs.nextExpected;
+            ++stats.delivered;
+          }
+        } else {
+          // Out of order: the one place the receive path pays an owned copy
+          // (the view dies with the datagram; the frame must outlive it).
+          rs.buffered.emplace(f.seq, std::string(f.body));
+          ++stats.payloadCopies;
+          ++stats.outOfOrderBuffered;
+          if (mReorderDepth != nullptr) {
+            mReorderDepth->record(rs.buffered.size());
+          }
         }
-      } else {
-        // Out of order: the one place the receive path pays an owned copy
-        // (the view dies with the datagram; the frame must outlive it).
-        rs.buffered.emplace(seq, std::string(body));
-        ++stats.payloadCopies;
-        ++stats.outOfOrderBuffered;
-        if (mReorderDepth != nullptr) mReorderDepth->record(rs.buffered.size());
       }
       if (!rs.ackPending) {
         rs.ackPending = true;
         rs.pendingSince = clk->now();
         ackQueue[src].push_back(key);
       }
-      ++rs.pendingFrames;
-      // Flush at once when this arrival opened or filled a gap, every
+      rs.pendingFrames += static_cast<std::uint32_t>(frames.size());
+      // Flush at once when this datagram opened or filled a gap, every
       // ackEvery/2 arrivals while a gap stays open (the sender's RACK needs
       // prompt SACKs to tell loss from reordering), and every ackEvery
       // arrivals in order.  Otherwise the timer flushes after ackDelay, or
@@ -628,7 +806,7 @@ struct ReliableEndpoint::Impl {
       // minRto/2: every RTO the sender's estimator can produce leaves room
       // for a deferred SACK to arrive before the retransmission fires.
       const bool gap = !rs.buffered.empty();
-      const bool gapEdge = hadGap ? deliverHead : gap;
+      const bool gapEdge = hadGap ? deliveredAny : gap;
       const std::uint32_t every =
           gap ? std::max<std::uint32_t>(1, cfg.ackEvery / 2) : cfg.ackEvery;
       if (gapEdge || rs.pendingFrames >= every) {
@@ -638,23 +816,25 @@ struct ReliableEndpoint::Impl {
           ++stats.ackFramesSent;
         }
       }
-      stats.delivered += (deliverHead ? 1 : 0) + drained.size();
       deliverFn = deliver;
     }
     if (!ackDatagram.empty()) {
       raw->send(src, std::move(ackDatagram));
       if (mDatagramsOut != nullptr) mDatagramsOut->inc();
     }
-    if (deliverFn) {
-      if (deliverHead) deliverFn(src, streamId, headPayload);
-      for (const std::string& p : drained) deliverFn(src, streamId, p);
+    if (!deliverFn) return;
+    auto next = drained.begin();
+    for (const RxFrame& f : frames) {
+      if (f.inOrder) deliverFn(src, streamId, f.body);
+      for (std::size_t i = 0; i < f.drained; ++i, ++next) {
+        deliverFn(src, streamId, next->mapped());
+      }
     }
   }
 
-  /// Marks one pending frame acknowledged: ack-latency histogram, the RTT
-  /// sample (Karn's rule: only frames transmitted exactly once sample, so a
-  /// retransmission ambiguity never poisons the estimator), the RACK
-  /// update, and the spurious-resend check behind the Eifel undo.
+  /// Marks one pending frame acknowledged: ack-latency histogram, the RACK
+  /// update, and the spurious-resend check behind the Eifel undo.  The RTT
+  /// sample is the caller's: one per ack, see onAckBlocks.
   void ackFrameLocked(const StreamKey& key, SendStream& ss, std::uint64_t seq,
                       const SendStream::Pending& p, TimePoint now) {
     if (mAckLatencyUs != nullptr) {
@@ -663,7 +843,6 @@ struct ReliableEndpoint::Impl {
     }
     const Duration rtt = now - p.lastSent;
     if (!p.retransmitted) {
-      sampleRttLocked(key.peer, rtt);
       // Overtaken by a later send yet never resent: reordering, measured
       // directly.  The window grows to cover it before it costs a resend.
       if (!sentAfter(p.lastSent, seq, ss.rack.xmit, ss.rack.seq)) {
@@ -734,23 +913,39 @@ struct ReliableEndpoint::Impl {
         SendStream& ss = it->second;
         if (b.epoch != ss.epoch) continue;  // ack for a previous epoch
         std::size_t newlyAcked = 0;
+        std::size_t ackedDatagrams = 0;  // the window grows per datagram
+        // One RTT sample per ack, from the newest frame it acks that was
+        // sent only once (Karn's rule: a resend's ack is ambiguous).  The
+        // frames of a burst or a bundle leave and are acked together, and
+        // n equal samples would drive rttvar, and with it the RTO's margin
+        // for a deferred ack, towards zero.
+        std::optional<std::pair<TimePoint, std::uint64_t>> newestClean;
+        const auto ack = [&](std::uint64_t seq, const SendStream::Pending& p) {
+          ackFrameLocked(key, ss, seq, p, now);
+          if (!p.retransmitted &&
+              (!newestClean || sentAfter(p.lastSent, seq, newestClean->first,
+                                         newestClean->second))) {
+            newestClean.emplace(p.lastSent, seq);
+          }
+          if (ss.leaveDatagram(p.dgram)) ++ackedDatagrams;
+          ++newlyAcked;
+        };
         // cumAck = receiver's nextExpected: everything below is delivered.
         const auto ackedEnd = ss.pending.lower_bound(b.cumAck);
         for (auto it2 = ss.pending.begin(); it2 != ackedEnd; ++it2) {
-          ackFrameLocked(key, ss, it2->first, it2->second, now);
-          ++newlyAcked;
+          ack(it2->first, it2->second);
         }
         ss.pending.erase(ss.pending.begin(), ackedEnd);
         for (std::uint64_t sack : b.sacks) {
           const auto it2 = ss.pending.find(sack);
           if (it2 == ss.pending.end()) continue;
-          ackFrameLocked(key, ss, sack, it2->second, now);
+          ack(sack, it2->second);
           ss.pending.erase(it2);
-          ++newlyAcked;
         }
+        if (newestClean) sampleRttLocked(key.peer, now - newestClean->first);
         if (newlyAcked > 0) {
           ackedAny = true;
-          ackGrowLocked(ss, newlyAcked);
+          ackGrowLocked(ss, ackedDatagrams);
         }
         if (!ss.failed) detectLossesLocked(batch, key, ss, now);
         // Acks freed window space: move queued frames into flight.
@@ -802,23 +997,32 @@ struct ReliableEndpoint::Impl {
         if (ss.failed) {
           ++stats.failures;
           failures.emplace_back(key.peer, key.streamId, ss.failReason);
-          ss.pending.clear();
-          ss.sendQueue.clear();
+          ss.dropFrames();
           continue;
         }
         // ---- phase 2: RACK reorder deadlines, then the timer -------------
         detectLossesLocked(batch, key, ss, now);
+        std::vector<SendStream::PendingRef> expired;
         for (auto& [seq, pending] : ss.pending) {
           if (now < pending.nextResend) continue;
-          lossCutLocked(ss, seq, /*timerExpiry=*/true, now);
+          PeerRtt& pr = peerRtt[key.peer];
+          if (pr.hasSample) {
+            lossCutLocked(ss, seq, /*timerExpiry=*/true, now);
+          } else {
+            // Before the first RTT sample an expiry says that cfg.rto is
+            // short for this path, not that the path is congested (TCP
+            // treats a lost SYN the same way): restart from one datagram,
+            // still in slow start.
+            ss.cwnd = 1.0;
+          }
           pending.backoff = std::min(pending.backoff * 2, cfg.maxRto);
           pending.nextResend = now + pending.backoff;
-          PeerRtt& pr = peerRtt[key.peer];
           if (!pr.hasSample) {
             pr.noSampleRto = std::max(pr.noSampleRto, pending.backoff);
           }
-          resendLocked(batch, key, ss, seq, pending, now);
+          expired.emplace_back(seq, &pending);
         }
+        if (!expired.empty()) resendLocked(batch, key, ss, expired, now);
         // ---- phase 3: window openings (acks shrank the flight) ----------
         transmitQueuedLocked(batch, key, ss, now);
       }
@@ -956,17 +1160,21 @@ std::vector<std::uint64_t> ReliableEndpoint::sendMany(
       const std::uint64_t seq = ss.nextSeq++;
       WireBuffer envelope(std::move(s.head), body);
       if (ss.sendQueue.empty() &&
-          ss.pending.size() < impl_->windowLocked(ss)) {
+          ss.dgramsInFlight < impl_->windowLocked(ss)) {
         Impl::SendStream::Pending pending;
         pending.envelope = std::move(envelope);
         pending.enqueued = now;
         pending.lastSent = now;
         pending.backoff = impl_->rtoForLocked(s.dst);
         pending.nextResend = now + pending.backoff;
-        impl_->stageDataLocked(batch, key, ss, seq, pending.envelope);
-        ss.pending.emplace(seq, std::move(pending));
+        pending.dgram = ss.openDatagram(1);
+        impl_->stageDatagramLocked(
+            batch, key, ss, 1, /*bundle=*/false, [&](std::size_t) {
+              return Impl::OutFrame{seq, pending.envelope};
+            });
         ++impl_->stats.dataSent;
-        impl_->stats.dataBytes += ss.pending.at(seq).envelope.size();
+        impl_->stats.dataBytes += pending.envelope.size();
+        ss.pending.emplace(seq, std::move(pending));
       } else {
         // Window full (or earlier frames already queued — FIFO): park the
         // frame instead of flooding the link; acks and ticks drain it.
@@ -1008,8 +1216,7 @@ void ReliableEndpoint::resetStream(const NodeAddress& dst,
   if (it != impl_->sendStreams.end()) {
     it->second.failed = false;
     it->second.failReason.clear();
-    it->second.pending.clear();
-    it->second.sendQueue.clear();
+    it->second.dropFrames();
     // New epoch: undelivered old-epoch frames are abandoned and the
     // receiver resynchronizes from sequence 0.  The congestion window
     // restarts too — the old estimate described a path that just failed.

@@ -220,6 +220,48 @@ TEST(ObsWiring, LossyLinkShowsUpAsRetransmitsAndDrops) {
   b.stop();
 }
 
+TEST(ObsWiring, WindowLimitedBurstSharesDatagrams) {
+  // A window pinned at its ssthresh starts in congestion avoidance, so once
+  // the first ack brings an RTT sample the frames queued behind the window
+  // leave packed into bundles.
+  SimNetwork net(779);
+  net.setDefaultLink(LinkParams{microseconds(500), microseconds(0), 0.0, 0.0});
+  DappletConfig cfg;
+  cfg.reliable.initialCwnd = 4;
+  cfg.reliable.maxCwnd = 4;
+  Dapplet a(net, "a", cfg);
+  Dapplet b(net, "b", cfg);
+  Inbox& in = b.createInbox("in");
+  Outbox& out = a.createOutbox();
+  out.add(in.ref());
+
+  constexpr int kMessages = 200;
+  for (int i = 0; i < kMessages; ++i) {
+    DataMessage m("n");
+    m.set("i", Value(static_cast<long long>(i)));
+    out.send(m);
+  }
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(in.receiveAs<DataMessage>(seconds(20)).get("i").asInt(), i);
+  }
+  ASSERT_TRUE(a.flush(seconds(10)));
+
+  const MetricsSnapshot sender = a.metrics();
+  const std::uint64_t bundled = sender.counters.at("reliable.bundled_frames");
+  EXPECT_GT(sender.counters.at("reliable.window_deferred"), 0u);
+  EXPECT_GT(bundled, 0u);
+  EXPECT_LE(bundled, sender.counters.at("reliable.data_sent") +
+                         sender.counters.at("reliable.retransmits"));
+  // Every bundle carries at least two frames, so it saves at least one
+  // datagram per two bundled frames.
+  EXPECT_LE(sender.counters.at("net.datagrams_out"),
+            sender.counters.at("reliable.data_sent") +
+                sender.counters.at("reliable.retransmits") - bundled / 2);
+
+  a.stop();
+  b.stop();
+}
+
 TEST(ObsWiring, SessionCountersAndPhaseLatencies) {
   SimNetwork net(778);
   Dapplet m0(net, "m0");

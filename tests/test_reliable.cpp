@@ -1,10 +1,14 @@
 // Tests for the reliable ordering layer: FIFO delivery under loss, jitter
 // and duplication; delivery-timeout exceptions; flushing; stream isolation;
 // ack coalescing (delay/threshold flushes, dup-ack suppression); reorder
-// tolerance (RACK loss detection, spurious-resend undo, gap-driven acks).
+// tolerance (RACK loss detection, spurious-resend undo, gap-driven acks);
+// bundles (frames that wait behind the window share datagrams); hostile
+// input (malformed frames are dropped whole).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -12,6 +16,7 @@
 
 #include "dapple/net/sim.hpp"
 #include "dapple/reliable/reliable.hpp"
+#include "dapple/serial/wire.hpp"
 #include "dapple/testkit/virtual_clock.hpp"
 #include "dapple/util/error.hpp"
 
@@ -471,6 +476,26 @@ TEST(ReliableAdaptive, SrttConvergesToPathRttAndStopsSpuriousRetransmits) {
   EXPECT_LE(pair.a.stats().retransmits - retxBefore, 1u);
 }
 
+TEST(ReliableAdaptive, ExpiryBeforeTheFirstSampleKeepsSlowStart) {
+  // As above, the ~40ms path outlasts the initial RTO, so the first frames
+  // expire before any ack returns.  That says the RTO is short, not that
+  // the path is congested: the window restarts from one datagram, but
+  // ssthresh keeps its ceiling and the stream stays in slow start.
+  ReliableConfig cfg = fastConfig();
+  cfg.maxRto = milliseconds(500);
+  VirtualDuo pair(52, cfg,
+                  LinkParams{milliseconds(20), microseconds(0), 0.0, 0.0});
+  OrderedSink sink;
+  pair.b.setDeliver(sink.fn());
+  for (int i = 0; i < 4; ++i) {
+    pair.a.send(pair.b.address(), 1, std::to_string(i));
+  }
+  ASSERT_TRUE(sink.waitFor(1, 4, seconds(20)));
+  ASSERT_TRUE(pair.a.flush(seconds(10)));
+  EXPECT_GT(pair.a.stats().retransmits, 0u);
+  EXPECT_EQ(pair.a.probeStream(pair.b.address(), 1).ssthresh, cfg.maxCwnd);
+}
+
 TEST(ReliableAdaptive, KarnsRuleNeverSamplesRetransmittedFrames) {
   // RTO pinned (min == initial == max) far below the 60ms RTT: every frame
   // is retransmitted before its ack returns, so under Karn's rule not one
@@ -882,6 +907,549 @@ TEST(Reliable, DuplicatesOnCleanRetransmitPathAreDropped) {
   std::this_thread::sleep_for(milliseconds(100));  // late retransmits land
   EXPECT_EQ(sink.get(1).size(), 20u);
   EXPECT_GT(b.stats().duplicates, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bundles: frames waiting behind the window share datagrams
+// ---------------------------------------------------------------------------
+
+namespace {
+/// An endpoint between the reliable layer and the network: records every
+/// datagram the layer sends, drops those `drop` picks, and lets a test
+/// hand the layer raw datagrams.  Without an inner endpoint, sends go
+/// nowhere.
+class TapEndpoint : public Endpoint {
+ public:
+  explicit TapEndpoint(std::shared_ptr<Endpoint> inner = nullptr)
+      : inner_(std::move(inner)) {}
+
+  NodeAddress address() const override {
+    return inner_ != nullptr ? inner_->address() : NodeAddress{1, 1};
+  }
+  void sendBatch(std::vector<Datagram> batch) override {
+    std::vector<Datagram> pass;
+    {
+      std::scoped_lock lock(mutex);
+      for (Datagram& d : batch) {
+        sent.push_back(d.payload);
+        if (drop && drop(d.payload)) {
+          dropped.push_back(d.payload);
+          continue;
+        }
+        pass.push_back(std::move(d));
+      }
+    }
+    if (inner_ != nullptr) inner_->sendBatch(std::move(pass));
+  }
+  void setHandler(Handler h) override {
+    handler_ = h;
+    if (inner_ != nullptr) inner_->setHandler(std::move(h));
+  }
+  void close() override {
+    if (inner_ != nullptr) inner_->close();
+  }
+  /// Hands `datagram` to the reliable layer as if `src` had sent it.
+  void inject(const NodeAddress& src, std::string_view datagram) {
+    handler_(src, datagram);
+  }
+
+  std::mutex mutex;
+  std::vector<std::string> sent;
+  std::vector<std::string> dropped;
+  std::function<bool(std::string_view)> drop;  ///< set before traffic
+
+ private:
+  std::shared_ptr<Endpoint> inner_;
+  Handler handler_;
+};
+
+constexpr std::uint64_t kWireData = 0;
+constexpr std::uint64_t kWireAck = 1;
+constexpr std::uint64_t kWireBundle = 2;
+
+std::uint64_t kindOf(std::string_view datagram) {
+  return WireReader(datagram).readU64();
+}
+
+/// Sequence numbers of the frames one DATA or bundle datagram carries.
+std::vector<std::uint64_t> seqsOf(std::string_view datagram) {
+  WireReader r(datagram);
+  const std::uint64_t kind = r.readU64();
+  std::vector<std::uint64_t> seqs;
+  if (kind == kWireAck) return seqs;
+  r.readU64();  // stream id
+  r.readU64();  // epoch
+  if (kind == kWireData) seqs.push_back(r.readU64());
+  const std::size_t blocks = r.beginList();
+  for (std::size_t i = 0; i < blocks; ++i) {
+    r.readU64();
+    r.readU64();
+    r.readU64();
+    const std::size_t sacks = r.beginList();
+    for (std::size_t j = 0; j < sacks; ++j) r.readU64();
+  }
+  if (kind == kWireBundle) {
+    const std::size_t n = r.beginList();
+    for (std::size_t i = 0; i < n; ++i) {
+      seqs.push_back(r.readU64());
+      r.readStringView();
+    }
+  }
+  return seqs;
+}
+
+/// Two reliable endpoints on distinct simulated hosts over virtual time,
+/// each with its own config, the sender's datagrams passing through a tap.
+struct TappedDuo {
+  testkit::VirtualClock clock;
+  SimNetwork net;
+  obs::MetricsRegistry metrics;
+  std::shared_ptr<TapEndpoint> tap;
+  ReliableEndpoint a;
+  ReliableEndpoint b;
+
+  TappedDuo(std::uint64_t seed, ReliableConfig cfgA, ReliableConfig cfgB,
+            LinkParams link)
+      : net(seed,
+            [this] {
+              SimNetwork::Options o;
+              o.clock = &clock;
+              return o;
+            }()),
+        tap((net.setDefaultLink(link),
+             std::make_shared<TapEndpoint>(net.openAt(1)))),
+        a(tap, cfgA, &metrics, &clock),
+        b(net.openAt(2), cfgB, nullptr, &clock) {}
+
+  ~TappedDuo() {
+    a.close();
+    b.close();
+  }
+
+  /// `perStep` frames to b on stream 1 every millisecond for `steps`
+  /// milliseconds, sent from the clock's scheduler so host load cannot
+  /// move the send times.
+  void paced(int steps, int perStep, const std::string& prefix = "") {
+    for (int step = 0; step < steps; ++step) {
+      clock.after(milliseconds(1 + step), [this, step, perStep, prefix] {
+        std::vector<OutSend> sends;
+        for (int i = 0; i < perStep; ++i) {
+          sends.push_back(OutSend{b.address(),
+                                  prefix + std::to_string(step * perStep + i)});
+        }
+        a.sendMany(std::move(sends), 1, Payload(std::string(48, '.')));
+      });
+    }
+  }
+};
+
+/// Congestion avoidance from the first ack on: the window starts at its
+/// ceiling, which is where ssthresh starts too.
+ReliableConfig pinnedWindow(std::uint32_t cwnd) {
+  ReliableConfig cfg;
+  cfg.tickInterval = milliseconds(1);
+  cfg.initialCwnd = cwnd;
+  cfg.maxCwnd = cwnd;
+  return cfg;
+}
+
+void expectFifo(OrderedSink& sink, int count, const std::string& prefix = "") {
+  const auto got = sink.get(1);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    ASSERT_EQ(got[i], prefix + std::to_string(i) + std::string(48, '.'))
+        << "order violated at " << i;
+  }
+}
+}  // namespace
+
+TEST(ReliableBundle, WindowLimitedLossyStreamSharesDatagrams) {
+  // 10 frames per ms against a window of 8 datagrams on a ~2-3 ms RTT: the
+  // window binds, and the frames waiting behind it leave packed.
+  std::size_t peakInFlight = 0;  // outlives the clock's callbacks
+  TappedDuo duo(90, pinnedWindow(8), pinnedWindow(8),
+                LinkParams{milliseconds(1), microseconds(500), 0.01, 0.0});
+  OrderedSink sink;
+  duo.b.setDeliver(sink.fn());
+  constexpr int kSteps = 300;
+  constexpr int kPerStep = 10;
+  duo.paced(kSteps, kPerStep);
+  // The window counts datagrams, so more frames than that may be in flight.
+  for (int step = 0; step < kSteps; ++step) {
+    duo.clock.after(milliseconds(1 + step) + microseconds(500), [&] {
+      peakInFlight = std::max(
+          peakInFlight, duo.a.probeStream(duo.b.address(), 1).inFlight);
+    });
+  }
+  ASSERT_TRUE(sink.waitFor(1, kSteps * kPerStep, seconds(30)));
+  ASSERT_TRUE(duo.a.flush(seconds(10)));
+  expectFifo(sink, kSteps * kPerStep);
+  EXPECT_GT(peakInFlight, 8u);
+  const auto stats = duo.a.stats();
+  EXPECT_GT(stats.windowDeferred, 0u);
+  EXPECT_GT(stats.bundledFrames, 0u);
+  EXPECT_GT(stats.retransmits, 0u);  // the 1% loss did bite
+  // The sender only ever sends data (b never sends it any), so every
+  // datagram it sent is a DATA or bundle datagram.
+  const std::uint64_t datagrams =
+      duo.metrics.counter("net.datagrams_out").value();
+  EXPECT_LT(datagrams, stats.dataSent + stats.retransmits);
+  EXPECT_EQ(stats.payloadCopies, stats.dataSent + stats.retransmits);
+  std::scoped_lock lock(duo.tap->mutex);
+  for (const std::string& d : duo.tap->sent) {
+    EXPECT_LE(d.size(), 1200u);
+  }
+}
+
+namespace {
+/// Drops the first bundle that `cfg`'s sender puts on the wire, then checks
+/// that FIFO delivery completes and that the frames it held went out again
+/// exactly once each.
+struct LostBundle {
+  ReliableEndpoint::Stats stats;  ///< the sender's, after the flush
+  std::size_t frames = 0;         ///< frames the dropped bundle held
+  std::size_t bytes = 0;          ///< its size
+  std::size_t resendDatagrams = 0;  ///< datagrams that resent them
+};
+LostBundle expectLostBundleResent(const ReliableConfig& cfg,
+                                  std::uint64_t seed) {
+  bool droppedOne = false;  // outlives the tap's drop filter
+  TappedDuo duo(seed, cfg, cfg,
+                LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
+  duo.tap->drop = [&droppedOne](std::string_view d) {
+    if (droppedOne || kindOf(d) != kWireBundle) return false;
+    return droppedOne = true;
+  };
+  OrderedSink sink;
+  duo.b.setDeliver(sink.fn());
+  constexpr int kSteps = 40;
+  constexpr int kPerStep = 10;
+  duo.paced(kSteps, kPerStep);
+  EXPECT_TRUE(sink.waitFor(1, kSteps * kPerStep, seconds(30)));
+  EXPECT_TRUE(duo.a.flush(seconds(10)));
+  expectFifo(sink, kSteps * kPerStep);
+  LostBundle out{duo.a.stats()};
+
+  std::scoped_lock lock(duo.tap->mutex);
+  EXPECT_EQ(duo.tap->dropped.size(), 1u);
+  if (duo.tap->dropped.empty()) return out;
+  const std::string& lost = duo.tap->dropped.front();
+  const std::vector<std::uint64_t> lostSeqs = seqsOf(lost);
+  EXPECT_GE(lostSeqs.size(), 2u);
+  // Every datagram after the dropped one that carries a lost frame is a
+  // resend; the resends carry exactly the lost frames, each once.
+  const auto at = std::find(duo.tap->sent.begin(), duo.tap->sent.end(), lost);
+  std::vector<std::uint64_t> resent;
+  std::size_t resendDatagrams = 0;
+  for (auto it = at + 1; it != duo.tap->sent.end(); ++it) {
+    bool isResend = false;
+    for (std::uint64_t seq : seqsOf(*it)) {
+      if (std::find(lostSeqs.begin(), lostSeqs.end(), seq) != lostSeqs.end()) {
+        resent.push_back(seq);
+        isResend = true;
+      }
+    }
+    if (isResend) ++resendDatagrams;
+  }
+  std::sort(resent.begin(), resent.end());
+  EXPECT_EQ(resent, lostSeqs);
+  out.frames = lostSeqs.size();
+  out.bytes = lost.size();
+  out.resendDatagrams = resendDatagrams;
+  return out;
+}
+}  // namespace
+
+TEST(ReliableBundle, LostBundleIsResentPacked) {
+  // RACK finds all of the dropped bundle's frames lost at once, and they go
+  // out again packed, not one per datagram.
+  ReliableConfig cfg = pinnedWindow(4);
+  cfg.rto = seconds(1);  // loss recovery is RACK's alone
+  cfg.minRto = seconds(1);
+  cfg.maxRto = seconds(1);
+  cfg.deliveryTimeout = seconds(30);
+  const LostBundle lost = expectLostBundleResent(cfg, 91);
+  EXPECT_EQ(lost.stats.retransmits, lost.frames);
+  EXPECT_EQ(lost.stats.fastRetransmits, lost.frames);
+  EXPECT_LE(lost.resendDatagrams, (lost.bytes + 1199) / 1200);
+}
+
+TEST(ReliableBundle, TimerResendOfLostBundleIsPacked) {
+  // Without RACK the timer finds the dropped bundle's frames lost.  The
+  // expiry cuts the window to one datagram, back into slow start, where
+  // first sends leave one per datagram; the resends still go out packed.
+  // (Frames sent just after the lost ones may expire too before the
+  // resend's ack arrives, so more than the lost frames may be resent.)
+  ReliableConfig cfg = pinnedWindow(4);
+  cfg.fastRetransmit = false;
+  const LostBundle lost = expectLostBundleResent(cfg, 94);
+  EXPECT_EQ(lost.stats.fastRetransmits, 0u);
+  EXPECT_GE(lost.stats.retransmits, lost.frames);
+  EXPECT_LE(lost.resendDatagrams, (lost.bytes + 1199) / 1200);
+}
+
+TEST(ReliableBundle, AckYieldsOneRttSampleHoweverManyFramesItAcks) {
+  // The frames of a bundle leave and are acked together.  Equal samples,
+  // one per frame, would drive rttvar, and with it the RTO's margin for a
+  // deferred ack, towards zero; an ack yields one sample instead.
+  TappedDuo duo(95, pinnedWindow(4), pinnedWindow(4),
+                LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
+  OrderedSink sink;
+  duo.b.setDeliver(sink.fn());
+  constexpr int kSteps = 40;
+  constexpr int kPerStep = 10;
+  duo.paced(kSteps, kPerStep);
+  ASSERT_TRUE(sink.waitFor(1, kSteps * kPerStep, seconds(30)));
+  ASSERT_TRUE(duo.a.flush(seconds(10)));
+  expectFifo(sink, kSteps * kPerStep);
+  const auto stats = duo.a.stats();
+  EXPECT_GT(stats.bundledFrames, 0u);
+  EXPECT_EQ(stats.retransmits, 0u);
+  EXPECT_GT(stats.rttSamples, 0u);
+  // b sends a no data, so every ack it sends rides an ACK datagram.
+  EXPECT_LE(stats.rttSamples, duo.b.stats().ackFramesSent);
+}
+
+TEST(ReliableBundle, SlowStartBurstSendsOneFramePerDatagram) {
+  // A lossless burst never leaves slow start (ssthresh starts at maxCwnd),
+  // so every frame gets a datagram, and with it an RTT sample, of its own.
+  ReliableConfig cfg = fastConfig();
+  TappedDuo duo(92, cfg, cfg,
+                LinkParams{milliseconds(1), microseconds(0), 0.0, 0.0});
+  OrderedSink sink;
+  duo.b.setDeliver(sink.fn());
+  constexpr int kSteps = 20;
+  constexpr int kPerStep = 10;
+  duo.paced(kSteps, kPerStep);
+  ASSERT_TRUE(sink.waitFor(1, kSteps * kPerStep, seconds(30)));
+  ASSERT_TRUE(duo.a.flush(seconds(10)));
+  expectFifo(sink, kSteps * kPerStep);
+  const auto stats = duo.a.stats();
+  EXPECT_GT(stats.windowDeferred, 0u);  // the window did bind
+  EXPECT_EQ(stats.bundledFrames, 0u);
+  EXPECT_EQ(duo.metrics.counter("net.datagrams_out").value(),
+            stats.dataSent + stats.retransmits);
+}
+
+TEST(ReliableBundle, MixedCodecPairExchangesBundlesBothWays) {
+  // A text peer and a binary peer, each with a window-limited stream to the
+  // other: each side decodes the other's bundles.
+  ReliableConfig text = pinnedWindow(4);
+  text.codec = WireCodec::kText;
+  ReliableConfig binary = pinnedWindow(4);
+  binary.codec = WireCodec::kBinary;
+  TappedDuo duo(93, text, binary,
+                LinkParams{milliseconds(1), microseconds(200), 0.0, 0.0});
+  OrderedSink sinkA;
+  OrderedSink sinkB;
+  duo.a.setDeliver(sinkA.fn());
+  duo.b.setDeliver(sinkB.fn());
+  constexpr int kSteps = 50;
+  constexpr int kPerStep = 10;
+  duo.paced(kSteps, kPerStep, "ab-");
+  for (int step = 0; step < kSteps; ++step) {
+    duo.clock.after(milliseconds(1 + step), [&duo, step] {
+      std::vector<OutSend> sends;
+      for (int i = 0; i < kPerStep; ++i) {
+        sends.push_back(OutSend{duo.a.address(),
+                                "ba-" + std::to_string(step * kPerStep + i)});
+      }
+      duo.b.sendMany(std::move(sends), 1, Payload(std::string(48, '.')));
+    });
+  }
+  ASSERT_TRUE(sinkB.waitFor(1, kSteps * kPerStep, seconds(30)));
+  ASSERT_TRUE(sinkA.waitFor(1, kSteps * kPerStep, seconds(30)));
+  ASSERT_TRUE(duo.a.flush(seconds(10)));
+  ASSERT_TRUE(duo.b.flush(seconds(10)));
+  expectFifo(sinkB, kSteps * kPerStep, "ab-");
+  expectFifo(sinkA, kSteps * kPerStep, "ba-");
+  EXPECT_GT(duo.a.stats().bundledFrames, 0u);
+  EXPECT_GT(duo.b.stats().bundledFrames, 0u);
+  std::scoped_lock lock(duo.tap->mutex);
+  bool sawTextBundle = false;
+  for (const std::string& d : duo.tap->sent) {
+    if (kindOf(d) == kWireBundle) {
+      EXPECT_EQ(WireReader(d).codec(), WireCodec::kText);
+      sawTextBundle = true;
+    }
+  }
+  EXPECT_TRUE(sawTextBundle);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: malformed DATA, ACK and bundle frames do nothing
+// ---------------------------------------------------------------------------
+
+namespace {
+const NodeAddress kPeer{7, 7};
+
+std::string dataFrame(WireCodec codec, std::uint64_t seq,
+                      std::string_view body) {
+  WireWriter w(codec);
+  w.writeU64(kWireData);
+  w.writeU64(1);  // stream id
+  w.writeU64(0);  // epoch
+  w.writeU64(seq);
+  w.beginList(0);  // no ack blocks
+  w.writeString(body);
+  return std::move(w).str();
+}
+
+std::string bundleFrame(WireCodec codec, std::uint64_t firstSeq, int count) {
+  WireWriter w(codec);
+  w.writeU64(kWireBundle);
+  w.writeU64(1);
+  w.writeU64(0);
+  w.beginList(0);
+  w.beginList(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    w.writeU64(firstSeq + static_cast<std::uint64_t>(i));
+    w.writeString("frame-" + std::to_string(i));
+  }
+  return std::move(w).str();
+}
+
+std::string ackFrame(WireCodec codec, std::uint64_t cumAck) {
+  WireWriter w(codec);
+  w.writeU64(kWireAck);
+  w.beginList(1);
+  w.writeU64(1);
+  w.writeU64(0);
+  w.writeU64(cumAck);
+  w.beginList(0);
+  return std::move(w).str();
+}
+
+/// Frames that claim more than they hold: list counts far past the end
+/// (a reservation from them would ask for terabytes) and string lengths
+/// past the end.
+std::vector<std::string> liars(WireCodec codec) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  std::vector<std::string> out;
+  {  // DATA whose ack-block list count is huge
+    WireWriter w(codec);
+    w.writeU64(kWireData);
+    w.writeU64(1);
+    w.writeU64(0);
+    w.writeU64(0);
+    w.beginList(kHuge);
+    out.push_back(std::move(w).str());
+  }
+  {  // DATA whose body is longer than the datagram
+    WireWriter w(codec);
+    w.writeU64(kWireData);
+    w.writeU64(1);
+    w.writeU64(0);
+    w.writeU64(0);
+    w.beginList(0);
+    w.beginString(1000);
+    out.push_back(std::move(w).str() + "short");
+  }
+  {  // ACK whose block count is huge
+    WireWriter w(codec);
+    w.writeU64(kWireAck);
+    w.beginList(kHuge);
+    w.writeU64(1);
+    out.push_back(std::move(w).str());
+  }
+  {  // ACK whose SACK list count is huge
+    WireWriter w(codec);
+    w.writeU64(kWireAck);
+    w.beginList(1);
+    w.writeU64(1);
+    w.writeU64(0);
+    w.writeU64(1);
+    w.beginList(kHuge);
+    w.writeU64(0);
+    out.push_back(std::move(w).str());
+  }
+  {  // bundle whose frame count is huge
+    WireWriter w(codec);
+    w.writeU64(kWireBundle);
+    w.writeU64(1);
+    w.writeU64(0);
+    w.beginList(0);
+    w.beginList(kHuge);
+    w.writeU64(0);
+    w.writeString("x");
+    out.push_back(std::move(w).str());
+  }
+  {  // bundle whose second body runs past the end
+    WireWriter w(codec);
+    w.writeU64(kWireBundle);
+    w.writeU64(1);
+    w.writeU64(0);
+    w.beginList(0);
+    w.beginList(2);
+    w.writeU64(0);
+    w.writeString("first");
+    w.writeU64(1);
+    w.beginString(std::uint64_t{1} << 62);
+    out.push_back(std::move(w).str() + "second");
+  }
+  return out;
+}
+
+/// A receiver with no network and no timer thread.
+struct Harness {
+  std::shared_ptr<TapEndpoint> tap = std::make_shared<TapEndpoint>();
+  ReliableEndpoint ep;
+  OrderedSink sink;
+
+  Harness() : ep(tap, [] {
+    ReliableConfig cfg;
+    cfg.externalTick = true;
+    return cfg;
+  }()) {
+    ep.setDeliver(sink.fn());
+  }
+};
+}  // namespace
+
+TEST(ReliableHostile, TruncatedDataAndBundleFramesDeliverNothing) {
+  for (WireCodec codec : {WireCodec::kText, WireCodec::kBinary}) {
+    for (const std::string& frame :
+         {dataFrame(codec, 0, "payload"), bundleFrame(codec, 0, 5)}) {
+      Harness h;
+      for (std::size_t len = 0; len < frame.size(); ++len) {
+        h.tap->inject(kPeer, std::string_view(frame).substr(0, len));
+      }
+      const auto stats = h.ep.stats();
+      EXPECT_EQ(stats.delivered, 0u) << wireCodecName(codec);
+      EXPECT_EQ(stats.outOfOrderBuffered, 0u);
+      EXPECT_EQ(stats.duplicates, 0u);
+      // The whole frame is well formed: the sweep really cut real frames.
+      h.tap->inject(kPeer, frame);
+      EXPECT_EQ(h.ep.stats().delivered, kindOf(frame) == kWireData ? 1u : 5u)
+          << wireCodecName(codec);
+    }
+  }
+}
+
+TEST(ReliableHostile, TruncatedAckFramesAckNothing) {
+  for (WireCodec codec : {WireCodec::kText, WireCodec::kBinary}) {
+    Harness h;
+    for (int i = 0; i < 3; ++i) h.ep.send(kPeer, 1, "x");
+    const std::string frame = ackFrame(codec, 3);
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      h.tap->inject(kPeer, std::string_view(frame).substr(0, len));
+      ASSERT_EQ(h.ep.probeStream(kPeer, 1).inFlight, 3u)
+          << wireCodecName(codec) << ", " << len << " bytes";
+    }
+    h.tap->inject(kPeer, frame);
+    EXPECT_EQ(h.ep.probeStream(kPeer, 1).inFlight, 0u);
+  }
+}
+
+TEST(ReliableHostile, FramesClaimingMoreThanTheyHoldAreDropped) {
+  for (WireCodec codec : {WireCodec::kText, WireCodec::kBinary}) {
+    Harness h;
+    h.ep.send(kPeer, 1, "x");
+    for (const std::string& frame : liars(codec)) h.tap->inject(kPeer, frame);
+    EXPECT_EQ(h.ep.stats().delivered, 0u) << wireCodecName(codec);
+    EXPECT_EQ(h.ep.stats().outOfOrderBuffered, 0u);
+    EXPECT_EQ(h.ep.probeStream(kPeer, 1).inFlight, 1u);
+  }
 }
 
 }  // namespace
