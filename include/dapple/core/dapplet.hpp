@@ -63,15 +63,16 @@ struct DappletConfig {
   /// Event-driven runtime knobs (one struct per policy domain, like
   /// `reliable` and `liveness`).
   struct RuntimeConfig {
-    /// Shared event-loop pool this dapplet schedules on: its reliable-layer
-    /// retransmission ticks run on the reactor's timer wheel instead of a
-    /// dedicated thread, and services (liveness, session agent, RPC server)
-    /// register `Inbox::onMessage` handlers instead of spawning dispatch
-    /// loops.  Many dapplets share one reactor — that is the point: one
-    /// process hosts tens of thousands of dapplets on `hw_concurrency`
-    /// threads (see bench_swarm).  Null selects the legacy threaded mode;
-    /// `Dapplet::after`/`every`/`Inbox::onMessage` then lazily create a
-    /// small dapplet-owned reactor.  Must outlive the dapplet.
+    /// Shared event-loop pool this dapplet schedules on.  Services always
+    /// serve their inboxes with `Inbox::onMessage` handlers and pace their
+    /// timers with `Dapplet::after`/`every`, so they run on this reactor;
+    /// with a shared reactor the reliable layer's retransmission ticks also
+    /// run on its timer wheel instead of a dedicated thread.  Many dapplets
+    /// share one reactor — that is the point: one process hosts tens of
+    /// thousands of dapplets on `hw_concurrency` threads (see bench_swarm).
+    /// Null gives the dapplet its own reactor (`ownedThreads` loops),
+    /// created the first time a handler or timer needs it.  Must outlive
+    /// the dapplet.
     Reactor* reactor = nullptr;
     /// Loop threads for the lazily-created owned reactor (only consulted
     /// when `reactor` is null and an async API is first used).
@@ -196,9 +197,10 @@ class Dapplet {
   /// cancelled or the dapplet stops.
   Reactor::TimerHandle every(Duration period, std::function<void()> fn);
 
-  /// Stops the dapplet: closes every inbox (waking blocked receivers with
-  /// ShutdownError), requests stop on spawned threads, joins them, and
-  /// closes the endpoint.  Idempotent.  Must NOT be called from a reactor
+  /// Stops the dapplet: closes every inbox (waking blocked receivers, and
+  /// callers blocked in service APIs, with ShutdownError), requests stop on
+  /// spawned threads, joins them, stops the owned reactor, and closes the
+  /// endpoint.  Idempotent.  Must NOT be called from a reactor
   /// callback (a handler or timer running on a loop thread): teardown waits
   /// out the in-flight retransmit tick before destroying the reliable
   /// layer, and from a loop thread that wait degrades to asynchronous
@@ -286,6 +288,9 @@ class Dapplet {
                  std::string_view payload);
   void onStreamFailure(const NodeAddress& dst, std::uint64_t streamId,
                        const std::string& reason);
+  /// The shared half of stop() and crash(): closes every inbox, joins the
+  /// spawned threads and stops the owned reactor.  False when already done.
+  bool stopRuntime();
 
   struct Impl;
   const std::string name_;

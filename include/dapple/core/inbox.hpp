@@ -12,13 +12,15 @@
 ///  * `receiveFor(timeout)` / `receiveAs<T>(timeout)` / `tryReceive()` are
 ///    the canonical surface: "nothing arrived" is reported in the return
 ///    value (`std::nullopt`), never by exception.
-///  * The throwing `receive(timeout)` overload is deprecated; callers that
-///    treat a missed deadline as failure throw `TimeoutError` themselves (or
-///    use `receiveAs<T>(timeout)`, which still throws for them).
+///  * There is no throwing `receive(timeout)`: callers that treat a missed
+///    deadline as failure use `receiveAs<T>(timeout)`, which throws
+///    `TimeoutError` for them, or throw it themselves.
 ///  * All receives throw ShutdownError once the inbox is closed-and-drained
 ///    and PeerDownError when a peer-failure alert is pending (see raise()).
 ///  * `onMessage(handler)` switches the inbox to event-driven delivery on
-///    the dapplet's `Reactor` — no blocked thread at all.
+///    the dapplet's `Reactor` — no blocked thread at all.  Services serve
+///    their control inboxes this way only (see core/service_inbox.hpp);
+///    blocking receives are for application roles.
 
 #include <atomic>
 #include <condition_variable>
@@ -29,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "dapple/core/inbox_ref.hpp"
 #include "dapple/serial/message.hpp"
@@ -100,20 +103,6 @@ class Inbox : public std::enable_shared_from_this<Inbox> {
   Delivery receive() { return queue_.pop(); }
 
   // --- extensions ----------------------------------------------------------
-
-  /// \deprecated Timed receive that throws TimeoutError when nothing
-  /// arrives in time.  Use `receiveFor(timeout)` (nullopt on timeout) or
-  /// `receiveAs<T>(timeout)` instead; this overload is kept one release for
-  /// out-of-tree callers.
-  [[deprecated(
-      "use receiveFor(timeout) or receiveAs<T>(timeout)")]] Delivery
-  receive(Duration timeout) {
-    auto d = queue_.popFor(timeout);
-    if (!d) {
-      throw TimeoutError("inbox '" + name_ + "' receive timed out");
-    }
-    return std::move(*d);
-  }
 
   /// Timed receive without the timeout exception: nullopt when nothing
   /// arrives in time.  Closed inboxes and pending peer-failure alerts still
@@ -217,7 +206,26 @@ class Inbox : public std::enable_shared_from_this<Inbox> {
 
   /// Closes the inbox: blocked receivers wake with ShutdownError and later
   /// deliveries are dropped.  Used during session unlink and dapplet stop.
-  void close() { queue_.close(); }
+  /// Then runs the close hook (see onClose); a concurrent close() returns
+  /// only once the hook has finished.  Idempotent.
+  void close() {
+    queue_.close();
+    std::scoped_lock lock(closeMutex_);
+    if (auto hook = std::exchange(closeHook_, nullptr)) hook();
+  }
+
+  /// Sets the hook that runs once, on the closing thread, when the inbox
+  /// closes — at once when it is already closed.  Services use it to wake
+  /// callers blocked in their APIs with ShutdownError when the dapplet
+  /// stops.  The hook must not close this inbox.
+  void onClose(std::function<void()> hook) {
+    std::scoped_lock lock(closeMutex_);
+    if (queue_.closed()) {
+      if (hook) hook();
+      return;
+    }
+    closeHook_ = std::move(hook);
+  }
 
   /// True once close() has been called.
   bool isClosed() const { return queue_.closed(); }
@@ -323,6 +331,8 @@ class Inbox : public std::enable_shared_from_this<Inbox> {
   std::atomic<bool> hasHandler_{false};
   std::atomic<bool> drainScheduled_{false};
   std::function<void(std::function<void()>)> poster_;
+  std::mutex closeMutex_;               ///< held while the close hook runs
+  std::function<void()> closeHook_;     ///< guarded by closeMutex_
 };
 
 }  // namespace dapple

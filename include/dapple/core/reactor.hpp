@@ -30,8 +30,8 @@
 ///
 /// Callback contract: handlers run on loop threads and must not block
 /// indefinitely (a blocked handler stalls every dapplet sharded onto that
-/// loop).  Long blocking work still belongs on `Dapplet::spawn` threads —
-/// the legacy threaded mode remains fully supported.
+/// loop).  Long blocking work (application roles) still belongs on
+/// `Dapplet::spawn` threads.
 
 #include <cstdint>
 #include <functional>

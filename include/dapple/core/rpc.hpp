@@ -10,7 +10,8 @@
 /// associated with the inbox, and messages serve the role of asynchronous
 /// RPCs.  Synchronous RPCs are implemented as pairwise asynchronous RPCs."*
 ///
-/// `RpcServer` is the (inbox, object, thread) triple; `RpcClient` issues
+/// `RpcServer` is the (inbox, object) pair, with a reactor handler in the
+/// thread's place (no thread is held between requests); `RpcClient` issues
 /// `notify` (asynchronous) and `call` (synchronous = request plus reply,
 /// correlated by id).
 
@@ -31,8 +32,9 @@ class RpcServer {
  public:
   using Method = std::function<Value(const Value& args)>;
 
-  /// Creates the serving inbox (named `inboxName`) and starts the dispatch
-  /// thread on `dapplet`.
+  /// Creates the serving inbox (named `inboxName`) and serves it on
+  /// `dapplet`'s reactor.  Bound methods run on a reactor loop, one request
+  /// at a time, and must not block for long.
   explicit RpcServer(Dapplet& dapplet, const std::string& inboxName = "rpc");
   ~RpcServer();
 
@@ -55,7 +57,7 @@ class RpcServer {
 
  private:
   struct Impl;
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Client stub bound to one remote RpcServer.

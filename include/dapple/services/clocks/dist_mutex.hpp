@@ -72,7 +72,7 @@ class DistributedMutex {
 
  private:
   struct Impl;
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace dapple

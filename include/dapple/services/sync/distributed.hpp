@@ -48,7 +48,7 @@ class DistributedBarrier {
 
  private:
   struct Impl;
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Write-once value shared by a group of dapplets.  Any member may set();
@@ -78,7 +78,7 @@ class DistributedSingleAssignment {
 
  private:
   struct Impl;
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Distributed counting semaphore backed by a token colour — the canonical

@@ -77,7 +77,7 @@ class TerminationDetector {
 
  private:
   struct Impl;
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace dapple

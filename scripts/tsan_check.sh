@@ -3,15 +3,17 @@
 #
 # Configures a dedicated ThreadSanitizer build tree, builds the test
 # binaries, and runs the `faults`, `fuzz-smoke`, `recovery`, `reactor`,
-# `reliable`, `serial`, and `tokens` ctest labels — the failure-injection
-# suites, the scenario-fuzzer smoke sweep, the crash-recovery (kill ->
-# restart -> rejoin) suite, the event-loop runtime (timer wheel, handler
-# strands), the ordering layer (RACK loss detection and window-undo state
-# written from both the network thread and the retransmission tick), the
-# wire codec (text/binary encode-decode, malformed-input hardening), and
-# the token service's credit/lease machinery (renewal timers racing
-# grants, recalls, and member crashes).  Most run on the virtual clock,
-# so TSan reports reproduce run-to-run.
+# `reliable`, `serial`, `services`, and `tokens` ctest labels — the
+# failure-injection suites, the scenario-fuzzer smoke sweep, the
+# crash-recovery (kill -> restart -> rejoin) suite, the event-loop runtime
+# (timer wheel, handler strands), the ordering layer (RACK loss detection
+# and window-undo state written from both the network thread and the
+# retransmission tick), the wire codec (text/binary encode-decode,
+# malformed-input hardening), the services that dispatch on reactor loops
+# (snapshot, sync, termination, total/causal order, clocks, and their
+# stop/teardown paths), and the token service's credit/lease machinery
+# (renewal timers racing grants, recalls, and member crashes).  Most run on
+# the virtual clock, so TSan reports reproduce run-to-run.
 #
 #   scripts/tsan_check.sh [build-dir]     (default: build-tsan)
 set -eu
@@ -21,4 +23,4 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -DDAPPLE_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j
-ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'faults|fuzz-smoke|recovery|reactor|reliable|serial|tokens'
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'faults|fuzz-smoke|recovery|reactor|reliable|serial|services|tokens'

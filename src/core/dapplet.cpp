@@ -136,21 +136,23 @@ bool Dapplet::hasInbox(const std::string& name) const {
 }
 
 void Dapplet::destroyInbox(const std::string& name) {
-  std::scoped_lock lock(impl_->mutex);
-  const auto it = impl_->inboxesByName.find(name);
-  if (it == impl_->inboxesByName.end()) {
-    throw AddressError("no inbox named '" + name + "' in dapplet " + name_);
+  Inbox* box = nullptr;
+  {
+    std::scoped_lock lock(impl_->mutex);
+    const auto it = impl_->inboxesByName.find(name);
+    if (it == impl_->inboxesByName.end()) {
+      throw AddressError("no inbox named '" + name + "' in dapplet " + name_);
+    }
+    box = it->second;
   }
-  Inbox* box = it->second;
-  box->close();
-  impl_->inboxesByName.erase(it);
-  auto node = impl_->inboxesById.extract(box->localId());
-  if (node) impl_->inboxGraveyard.push_back(std::move(node.mapped()));
+  destroyInbox(*box);
 }
 
 void Dapplet::destroyInbox(Inbox& box) {
-  std::scoped_lock lock(impl_->mutex);
+  // Outside the dapplet lock: a service's close hook takes the service's
+  // own lock, which is held around sends that take this one.
   box.close();
+  std::scoped_lock lock(impl_->mutex);
   if (!box.name().empty()) impl_->inboxesByName.erase(box.name());
   auto node = impl_->inboxesById.extract(box.localId());
   if (node) impl_->inboxGraveyard.push_back(std::move(node.mapped()));
@@ -246,21 +248,36 @@ Reactor::TimerHandle Dapplet::every(Duration period,
   return reactor().every(period, std::move(fn));
 }
 
-void Dapplet::stop() {
+bool Dapplet::stopRuntime() {
+  std::vector<std::shared_ptr<Inbox>> boxes;
   std::vector<std::jthread> workers;
   {
     std::scoped_lock lock(impl_->mutex);
-    if (impl_->stopped) return;
+    if (impl_->stopped) return false;
     impl_->stopped = true;
-    for (auto& [id, box] : impl_->inboxesById) box->close();
+    for (auto& [id, box] : impl_->inboxesById) boxes.push_back(box);
     workers.swap(impl_->workers);
   }
+  // Closed outside the lock, as in destroyInbox.  The close hooks wake
+  // callers blocked in service APIs with ShutdownError.
+  for (auto& box : boxes) box->close();
   for (auto& worker : workers) worker.request_stop();
-  // Workers parked in timed clocked waits (heartbeat pacing, probe loops)
+  // Workers parked in timed clocked waits (probe loops, role backoffs)
   // re-check their stop tokens only when woken; under a virtual clock that
   // wake must be routed, not waited out.
   clockSource_->interruptAll();
   workers.clear();  // joins
+  Reactor* owned = nullptr;
+  {
+    std::scoped_lock lock(impl_->mutex);
+    owned = impl_->ownedReactor.get();
+  }
+  if (owned) owned->stop();
+  return true;
+}
+
+void Dapplet::stop() {
+  if (!stopRuntime()) return;
   // cancel() waits out any in-flight tick, so after it returns no loop
   // thread is still inside reliable_->tick() and reliable_ can be torn down
   // safely.  That wait only happens off loop threads, which is why stop()
@@ -269,12 +286,6 @@ void Dapplet::stop() {
   // would race the teardown below (see the header contract).
   impl_->reliableTick.cancel();
   reliable_->close();
-  Reactor* owned = nullptr;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    owned = impl_->ownedReactor.get();
-  }
-  if (owned) owned->stop();
 }
 
 void Dapplet::crash() {
@@ -283,23 +294,7 @@ void Dapplet::crash() {
   // graceful inverse (drain, then close).
   reliable_->close();
   impl_->reliableTick.cancel();  // after close: ticks are already no-ops
-  std::vector<std::jthread> workers;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    if (impl_->stopped) return;
-    impl_->stopped = true;
-    for (auto& [id, box] : impl_->inboxesById) box->close();
-    workers.swap(impl_->workers);
-  }
-  for (auto& worker : workers) worker.request_stop();
-  clockSource_->interruptAll();
-  workers.clear();  // joins
-  Reactor* owned = nullptr;
-  {
-    std::scoped_lock lock(impl_->mutex);
-    owned = impl_->ownedReactor.get();
-  }
-  if (owned) owned->stop();
+  stopRuntime();
 }
 
 void Dapplet::addPeerFailureListener(PeerFailureListener listener) {
@@ -327,7 +322,7 @@ obs::MetricsSnapshot Dapplet::metrics() const {
   const ReliableEndpoint::Stats rs = reliable_->stats();
   snap.counters["reliable.data_sent"] += rs.dataSent;
   snap.counters["reliable.retransmits"] += rs.retransmits;
-  snap.counters["reliable.fast_retransmits"] += rs.fastRetransmits;
+  // (`reliable.fast_retransmits` is the layer's own registry counter.)
   snap.counters["reliable.spurious_retransmits"] += rs.spuriousRetransmits;
   snap.counters["reliable.rtt_samples"] += rs.rttSamples;
   snap.counters["reliable.window_deferred"] += rs.windowDeferred;

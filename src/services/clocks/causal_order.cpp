@@ -5,6 +5,7 @@
 #include <list>
 #include <mutex>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -24,11 +25,9 @@ struct CausalGroup::Impl {
 
   Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -102,43 +101,19 @@ struct CausalGroup::Impl {
     drainLocked();
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox inbox{d, "cob." + name,
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 CausalGroup::CausalGroup(Dapplet& dapplet, const std::string& name)
-    : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("cob." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+    : impl_(std::make_unique<Impl>(dapplet, name)) {
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
-CausalGroup::~CausalGroup() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+CausalGroup::~CausalGroup() = default;
 
-InboxRef CausalGroup::ref() const { return impl_->inbox->ref(); }
+InboxRef CausalGroup::ref() const { return impl_->inbox.ref(); }
 
 void CausalGroup::attach(const std::vector<InboxRef>& members,
                          std::size_t selfIndex) {
@@ -178,7 +153,7 @@ void CausalGroup::publish(const Value& payload) {
 CausalGroup::Delivered CausalGroup::take(Duration timeout) {
   std::unique_lock lock(impl_->mutex);
   if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return !impl_->ready.empty() || impl_->loopDone;
+        return !impl_->ready.empty() || impl_->inbox.closed();
       })) {
     throw TimeoutError("causal group '" + impl_->name + "' take timed out");
   }

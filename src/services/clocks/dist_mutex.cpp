@@ -4,6 +4,7 @@
 #include <mutex>
 #include <vector>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -21,11 +22,9 @@ struct DistributedMutex::Impl {
 
   Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   std::vector<Outbox*> peerOutboxes;  // index-aligned; self slot is null
   std::size_t selfIndex = 0;
@@ -62,7 +61,7 @@ struct DistributedMutex::Impl {
     ++stats.messages;
   }
 
-  void onMessage(const Delivery& del) {
+  void dispatch(const Delivery& del) {
     const auto* msg = dynamic_cast<const DataMessage*>(del.message.get());
     if (msg == nullptr) return;
     std::scoped_lock lock(mutex);
@@ -90,43 +89,19 @@ struct DistributedMutex::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      onMessage(del);
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox inbox{d, "ra." + name,
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 DistributedMutex::DistributedMutex(Dapplet& dapplet, const std::string& name)
-    : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("ra." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+    : impl_(std::make_unique<Impl>(dapplet, name)) {
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
-DistributedMutex::~DistributedMutex() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+DistributedMutex::~DistributedMutex() = default;
 
-InboxRef DistributedMutex::ref() const { return impl_->inbox->ref(); }
+InboxRef DistributedMutex::ref() const { return impl_->inbox.ref(); }
 
 void DistributedMutex::attach(const std::vector<InboxRef>& members,
                               std::size_t selfIndex) {
@@ -156,7 +131,7 @@ void DistributedMutex::acquire(Duration timeout) {
   impl_->broadcastRequest();
   if (impl_->repliesPending > 0 &&
       !impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->repliesPending == 0 || impl_->loopDone;
+        return impl_->repliesPending == 0 || impl_->inbox.closed();
       })) {
     impl_->requesting = false;
     throw TimeoutError("distributed mutex '" + impl_->name +

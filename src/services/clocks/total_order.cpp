@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -22,11 +23,9 @@ struct TotalOrderGroup::Impl {
 
   Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -113,43 +112,19 @@ struct TotalOrderGroup::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox inbox{d, "tob." + name,
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 TotalOrderGroup::TotalOrderGroup(Dapplet& dapplet, const std::string& name)
-    : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("tob." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+    : impl_(std::make_unique<Impl>(dapplet, name)) {
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
-TotalOrderGroup::~TotalOrderGroup() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+TotalOrderGroup::~TotalOrderGroup() = default;
 
-InboxRef TotalOrderGroup::ref() const { return impl_->inbox->ref(); }
+InboxRef TotalOrderGroup::ref() const { return impl_->inbox.ref(); }
 
 void TotalOrderGroup::attach(const std::vector<InboxRef>& members,
                              std::size_t selfIndex) {
@@ -186,7 +161,7 @@ LamportStamp TotalOrderGroup::publish(const Value& payload) {
 TotalOrderGroup::Delivered TotalOrderGroup::take(Duration timeout) {
   std::unique_lock lock(impl_->mutex);
   if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return !impl_->ready.empty() || impl_->loopDone;
+        return !impl_->ready.empty() || impl_->inbox.closed();
       })) {
     throw TimeoutError("total-order group '" + impl_->name +
                        "' take timed out");

@@ -1,11 +1,11 @@
 #include "dapple/services/liveness/liveness.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -40,18 +40,13 @@ struct LivenessMonitor::Impl {
   /// live measurement `suspectTimeout` must dominate (see DESIGN.md).
   obs::Histogram* mHbGapUs;
   obs::TraceRing* trace;
-  Inbox* inbox = nullptr;
   Duration interval{};
   Duration timeout{};
 
   mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool loopDone = false;
 
-  /// Reactor mode (dapplet configured with runtime.reactor): beats ride the
-  /// shared timer wheel and heartbeats arrive through Inbox::onMessage — no
-  /// beat thread at all.
-  bool reactorMode = false;
+  /// Beats ride the reactor's timer wheel; heartbeats arrive through the
+  /// inbox handler.  The monitor holds no thread.
   Reactor::TimerHandle beatTimer;
 
   struct Watch {
@@ -63,7 +58,7 @@ struct LivenessMonitor::Impl {
   std::unordered_map<std::string, Watch> watches;
   // Outboxes replaced by watch()/unwatch() are parked here, not destroyed:
   // beat() sends on raw Outbox pointers outside the lock, so storage must
-  // outlive the beat loop.  Freed in the destructor once the loop is done.
+  // outlive the beat timer.  Freed in the destructor once it is cancelled.
   std::vector<Outbox*> retired;
 
   std::vector<PeerFn> suspectFns;
@@ -135,7 +130,7 @@ struct LivenessMonitor::Impl {
         // resume if the peer heals.  Suspicion itself is silence-driven.
         out->reset();
       } catch (const Error&) {
-        // Endpoint closing down; the run loop will exit shortly.
+        // Endpoint closing down; the beat timer is cancelled shortly.
       }
     }
   }
@@ -152,86 +147,39 @@ struct LivenessMonitor::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    // Beats are paced by wall time, NOT by the receive loop: one iteration
-    // per incoming message would make every received heartbeat trigger an
-    // immediate multicast to all watches — a positive-feedback storm once
-    // several monitors watch each other.
-    TimePoint nextBeat = now();
-    while (!stop.stop_requested()) {
-      std::vector<Event> events;
-      if (now() >= nextBeat) {
-        beat(events);
-        nextBeat = now() + interval;
-      }
-      const Duration wait =
-          std::max(Duration::zero(), nextBeat - now());
-      // A quiet interval just means the next iteration beats.
-      if (auto del = inbox->receiveFor(wait)) {
-        const auto* msg = dynamic_cast<const DataMessage*>(del->message.get());
-        if (msg != nullptr && msg->kind() == kHeartbeat) {
-          onHeartbeat(del->srcNode, events);
-        }
-      }
-      fire(events);
-    }
+  void dispatch(const Delivery& del) {
+    const auto* msg = dynamic_cast<const DataMessage*>(del.message.get());
+    if (msg == nullptr || msg->kind() != kHeartbeat) return;
+    std::vector<Event> events;
+    onHeartbeat(del.srcNode, events);
+    fire(events);
   }
+
+  // Declared last: destroyed first, so no heartbeat outlives the state
+  // above.
+  ServiceInbox inbox{d, "live.ctl",
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 LivenessMonitor::LivenessMonitor(Dapplet& dapplet, LivenessConfig config)
-    : impl_(std::make_shared<Impl>(dapplet, config)) {
-  impl_->inbox = &dapplet.createInbox("live.ctl");
-  auto impl = impl_;
-  if (dapplet.config().runtime.reactor != nullptr) {
-    // Reactor mode: the beat is a wheel timer and heartbeats are handled
-    // event-driven — this monitor costs zero threads, which is what lets
-    // bench_swarm run a monitor per dapplet at 10k+ dapplets.
-    impl_->reactorMode = true;
-    impl_->inbox->onMessage([impl](Delivery del) {
-      const auto* msg = dynamic_cast<const DataMessage*>(del.message.get());
-      if (msg == nullptr || msg->kind() != kHeartbeat) return;
-      std::vector<Impl::Event> events;
-      impl->onHeartbeat(del.srcNode, events);
-      impl->fire(events);
-    });
-    impl_->beatTimer = dapplet.every(impl_->interval, [impl] {
-      std::vector<Impl::Event> events;
-      impl->beat(events);
-      impl->fire(events);
-    });
-    return;
-  }
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
+    : impl_(std::make_unique<Impl>(dapplet, config)) {
+  // Beats are paced by the timer, NOT by arrivals: beating per received
+  // heartbeat would make every heartbeat trigger an immediate multicast to
+  // all watches — a positive-feedback storm once several monitors watch
+  // each other.
+  impl_->beatTimer = dapplet.every(impl_->interval, [impl = impl_.get()] {
+    std::vector<Impl::Event> events;
+    impl->beat(events);
+    impl->fire(events);
   });
 }
 
 LivenessMonitor::~LivenessMonitor() {
-  if (impl_->reactorMode) {
-    // Off-loop cancel() waits out an in-flight beat, and onMessage(nullptr)
-    // returns only once any running handler has finished — after these two
-    // lines nothing touches the watches again.
-    impl_->beatTimer.cancel();
-    impl_->inbox->onMessage(nullptr);
-  }
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  if (!impl_->reactorMode) {
-    impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-  }
+  // Off-loop cancel() waits out an in-flight beat, so no beat touches the
+  // outboxes freed below.  A heartbeat handled meanwhile only reads the
+  // watches under the lock.
+  impl_->beatTimer.cancel();
+  std::scoped_lock lock(impl_->mutex);
   for (auto& [key, w] : impl_->watches) {
     try {
       impl_->d.destroyOutbox(*w.out);
@@ -248,7 +196,7 @@ LivenessMonitor::~LivenessMonitor() {
   impl_->retired.clear();
 }
 
-InboxRef LivenessMonitor::ref() const { return impl_->inbox->ref(); }
+InboxRef LivenessMonitor::ref() const { return impl_->inbox.ref(); }
 
 void LivenessMonitor::watch(const std::string& key, const InboxRef& peer) {
   if (!peer.valid()) return;  // peers without a detector are simply unwatched

@@ -7,17 +7,14 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/fsio.hpp"
-#include "dapple/util/log.hpp"
 
 namespace dapple {
 
 namespace {
-
-constexpr const char* kLog = "snapshot";
 
 // CheckpointService message kinds.
 constexpr const char* kMaxQ = "ckpt.maxq";
@@ -56,11 +53,9 @@ struct CheckpointService::Impl {
   StateFn stateFn;
   /// Crash-recovery compaction hook (see onLocalCheckpoint).
   std::function<void(std::uint64_t)> localCkptHook;
-  Inbox* control = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -91,12 +86,27 @@ struct CheckpointService::Impl {
     peers.at(index)->send(msg);
   }
 
+  /// Waits until `done()` holds for gather `snapId`.  On a timeout or a
+  /// stop it forgets the gather and throws TimeoutError or ShutdownError.
+  template <typename Done>
+  void awaitGatherLocked(std::unique_lock<std::mutex>& lock,
+                         std::uint64_t snapId, Duration timeout,
+                         const std::string& phase, Done done) {
+    const bool ok = clk().waitFor(lock, cv, timeout,
+                                  [&] { return done() || control.closed(); });
+    if (ok && done()) return;
+    gathers.erase(snapId);
+    if (!ok) throw TimeoutError("checkpoint: " + phase + " timed out");
+    throw ShutdownError("checkpoint: dapplet stopped during " + phase);
+  }
+
   void broadcast(const DataMessage& msg) {
     for (std::size_t i = 0; i < peers.size(); ++i) sendTo(i, msg);
   }
 
   bool tap(Inbox& target, Delivery& del) {
-    if (&target == control) return false;  // service traffic is not state
+    // Service traffic is not state.
+    if (&target == &control.inbox()) return false;
     std::scoped_lock lock(mutex);
     if (recording && del.sentAt < recording->time) {
       // "the states of the channels are the sequences of messages sent on
@@ -182,54 +192,22 @@ struct CheckpointService::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = control->receive();
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": checkpoint dispatch: "
-                                << e.what();
-      }
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox control{d, "ckpt.ctl",
+                       [this](const Delivery& del) { dispatch(del); }};
 };
 
 CheckpointService::CheckpointService(Dapplet& dapplet, StateFn stateFn)
     : impl_(std::make_shared<Impl>(dapplet, std::move(stateFn))) {
-  impl_->control = &dapplet.createInbox("ckpt.ctl");
+  impl_->control.wakeOnClose(impl_->mutex, impl_->cv);
   dapplet.setDeliveryTap([impl = impl_](Inbox& target, Delivery& del) {
     return impl->tap(target, del);
   });
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->clk().notifyAll(impl->cv);
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->clk().notifyAll(impl->cv);
-  });
 }
 
-CheckpointService::~CheckpointService() {
-  impl_->d.setDeliveryTap(nullptr);
-  try {
-    impl_->d.destroyInbox(*impl_->control);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+CheckpointService::~CheckpointService() { impl_->d.setDeliveryTap(nullptr); }
 
-InboxRef CheckpointService::ref() const { return impl_->control->ref(); }
+InboxRef CheckpointService::ref() const { return impl_->control.ref(); }
 
 void CheckpointService::attach(const std::vector<InboxRef>& members,
                                std::size_t selfIndex) {
@@ -257,13 +235,9 @@ GlobalSnapshot CheckpointService::take(Duration settle, Duration timeout) {
   maxq.set("qid", Value(static_cast<long long>(snapId)));
   maxq.set("from", Value(static_cast<long long>(impl_->selfIndex)));
   impl_->broadcast(maxq);
-  if (!impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
-        return impl_->gathers.at(snapId).maxPending == 0 ||
-               impl_->loopDone;
-      }) || impl_->loopDone) {
-    impl_->gathers.erase(snapId);
-    throw TimeoutError("checkpoint: clock query timed out");
-  }
+  impl_->awaitGatherLocked(lock, snapId, timeout, "clock query", [&] {
+    return impl_->gathers.at(snapId).maxPending == 0;
+  });
   // Margin so in-progress sends stamped "now" still land below T only if
   // they were sent before the broadcast reaches their sender.
   const std::uint64_t time = impl_->gathers.at(snapId).maxClock + 1000;
@@ -285,13 +259,9 @@ GlobalSnapshot CheckpointService::take(Duration settle, Duration timeout) {
   report.set("snapId", Value(static_cast<long long>(snapId)));
   report.set("from", Value(static_cast<long long>(impl_->selfIndex)));
   impl_->broadcast(report);
-  if (!impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
-        return impl_->gathers.at(snapId).reportsPending == 0 ||
-               impl_->loopDone;
-      }) || impl_->loopDone) {
-    impl_->gathers.erase(snapId);
-    throw TimeoutError("checkpoint: report gathering timed out");
-  }
+  impl_->awaitGatherLocked(lock, snapId, timeout, "report gathering", [&] {
+    return impl_->gathers.at(snapId).reportsPending == 0;
+  });
   GlobalSnapshot snapshot = std::move(impl_->gathers.at(snapId).snapshot);
   impl_->gathers.erase(snapId);
   return snapshot;
@@ -319,11 +289,9 @@ struct MarkerRegion::Impl {
   /// Gather waits and their notifies pace on the dapplet's clock.
   ClockSource& clk() const { return d.clockSource(); }
   StateFn stateFn;
-  Inbox* control = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -392,7 +360,7 @@ struct MarkerRegion::Impl {
   }
 
   bool tap(Inbox& target, Delivery& del) {
-    if (&target == control) return false;
+    if (&target == &control.inbox()) return false;
     const ChannelKey key{del.srcNode.packed(), del.srcOutbox};
     if (const auto* marker = dynamic_cast<const MarkerMsg*>(del.message.get())) {
       std::scoped_lock lock(mutex);
@@ -440,54 +408,22 @@ struct MarkerRegion::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = control->receive();
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const Error& e) {
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": marker dispatch: "
-                                << e.what();
-      }
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox control{d, "snap.ctl",
+                       [this](const Delivery& del) { dispatch(del); }};
 };
 
 MarkerRegion::MarkerRegion(Dapplet& dapplet, StateFn stateFn)
     : impl_(std::make_shared<Impl>(dapplet, std::move(stateFn))) {
-  impl_->control = &dapplet.createInbox("snap.ctl");
+  impl_->control.wakeOnClose(impl_->mutex, impl_->cv);
   dapplet.setDeliveryTap([impl = impl_](Inbox& target, Delivery& del) {
     return impl->tap(target, del);
   });
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->clk().notifyAll(impl->cv);
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->clk().notifyAll(impl->cv);
-  });
 }
 
-MarkerRegion::~MarkerRegion() {
-  impl_->d.setDeliveryTap(nullptr);
-  try {
-    impl_->d.destroyInbox(*impl_->control);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+MarkerRegion::~MarkerRegion() { impl_->d.setDeliveryTap(nullptr); }
 
-InboxRef MarkerRegion::ref() const { return impl_->control->ref(); }
+InboxRef MarkerRegion::ref() const { return impl_->control.ref(); }
 
 void MarkerRegion::attach(const std::vector<InboxRef>& members,
                           std::size_t selfIndex,
@@ -524,10 +460,14 @@ GlobalSnapshot MarkerRegion::take(Duration timeout) {
   }
   if (!impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
         return impl_->gathers.at(snapId).reportsPending == 0 ||
-               impl_->loopDone;
-      }) || impl_->loopDone) {
+               impl_->control.closed();
+      })) {
     impl_->gathers.erase(snapId);
     throw TimeoutError("marker snapshot timed out");
+  }
+  if (impl_->gathers.at(snapId).reportsPending != 0) {
+    impl_->gathers.erase(snapId);
+    throw ShutdownError("marker snapshot: dapplet stopped");
   }
   GlobalSnapshot snapshot = std::move(impl_->gathers.at(snapId).snapshot);
   impl_->gathers.erase(snapId);

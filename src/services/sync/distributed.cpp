@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -30,11 +31,9 @@ struct DistributedBarrier::Impl {
 
   Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -68,44 +67,20 @@ struct DistributedBarrier::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox inbox{d, "bar." + name,
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 DistributedBarrier::DistributedBarrier(Dapplet& dapplet,
                                        const std::string& name)
-    : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("bar." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+    : impl_(std::make_unique<Impl>(dapplet, name)) {
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
-DistributedBarrier::~DistributedBarrier() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+DistributedBarrier::~DistributedBarrier() = default;
 
-InboxRef DistributedBarrier::ref() const { return impl_->inbox->ref(); }
+InboxRef DistributedBarrier::ref() const { return impl_->inbox.ref(); }
 
 void DistributedBarrier::attach(const std::vector<InboxRef>& members,
                                 std::size_t selfIndex) {
@@ -138,7 +113,7 @@ std::uint64_t DistributedBarrier::arriveAndWait(Duration timeout) {
   arrive.set("idx", Value(static_cast<long long>(impl_->selfIndex)));
   impl_->peers[0]->send(arrive);  // coordinator (possibly self, loop-back)
   if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->releasedThrough > gen || impl_->loopDone;
+        return impl_->releasedThrough > gen || impl_->inbox.closed();
       })) {
     throw TimeoutError("distributed barrier '" + impl_->name +
                        "' timed out at generation " + std::to_string(gen));
@@ -159,11 +134,9 @@ struct DistributedSingleAssignment::Impl {
 
   Dapplet& d;
   const std::string name;
-  Inbox* inbox = nullptr;
 
   mutable std::mutex mutex;
   mutable std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -209,45 +182,21 @@ struct DistributedSingleAssignment::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox inbox{d, "sav." + name,
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 DistributedSingleAssignment::DistributedSingleAssignment(
     Dapplet& dapplet, const std::string& name)
-    : impl_(std::make_shared<Impl>(dapplet, name)) {
-  impl_->inbox = &dapplet.createInbox("sav." + name);
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+    : impl_(std::make_unique<Impl>(dapplet, name)) {
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
-DistributedSingleAssignment::~DistributedSingleAssignment() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+DistributedSingleAssignment::~DistributedSingleAssignment() = default;
 
 InboxRef DistributedSingleAssignment::ref() const {
-  return impl_->inbox->ref();
+  return impl_->inbox.ref();
 }
 
 void DistributedSingleAssignment::attach(const std::vector<InboxRef>& members,
@@ -279,7 +228,7 @@ bool DistributedSingleAssignment::set(const Value& value) {
   propose.set("value", value);
   impl_->peers[0]->send(propose);
   if (!impl_->cv.wait_for(lock, seconds(30), [&] {
-        return impl_->proposalWon.has_value() || impl_->loopDone;
+        return impl_->proposalWon.has_value() || impl_->inbox.closed();
       })) {
     throw TimeoutError("single-assignment set timed out");
   }
@@ -292,7 +241,7 @@ bool DistributedSingleAssignment::set(const Value& value) {
 Value DistributedSingleAssignment::get(Duration timeout) const {
   std::unique_lock lock(impl_->mutex);
   if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->value.has_value() || impl_->loopDone;
+        return impl_->value.has_value() || impl_->inbox.closed();
       })) {
     throw TimeoutError("single-assignment '" + impl_->name +
                        "' get timed out");

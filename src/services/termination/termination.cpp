@@ -4,6 +4,7 @@
 #include <mutex>
 #include <optional>
 
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -17,11 +18,9 @@ struct TerminationDetector::Impl {
   explicit Impl(Dapplet& dapplet) : d(dapplet) {}
 
   Dapplet& d;
-  Inbox* inbox = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -72,43 +71,19 @@ struct TerminationDetector::Impl {
     tryDisengageLocked();
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      dispatch(del);
-    }
-  }
+  // Declared last: destroyed first, so no delivery outlives the state above.
+  ServiceInbox inbox{d, "td.ctl",
+                     [this](const Delivery& del) { dispatch(del); }};
 };
 
 TerminationDetector::TerminationDetector(Dapplet& dapplet)
-    : impl_(std::make_shared<Impl>(dapplet)) {
-  impl_->inbox = &dapplet.createInbox("td.ctl");
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->cv.notify_all();
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->cv.notify_all();
-  });
+    : impl_(std::make_unique<Impl>(dapplet)) {
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
-TerminationDetector::~TerminationDetector() {
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
-}
+TerminationDetector::~TerminationDetector() = default;
 
-InboxRef TerminationDetector::ref() const { return impl_->inbox->ref(); }
+InboxRef TerminationDetector::ref() const { return impl_->inbox.ref(); }
 
 void TerminationDetector::attach(const std::vector<InboxRef>& members,
                                  std::size_t selfIndex,
@@ -168,7 +143,7 @@ void TerminationDetector::awaitTermination(Duration timeout) {
     throw SessionError("only the root awaits termination");
   }
   if (!impl_->cv.wait_for(lock, timeout, [&] {
-        return impl_->rootTerminated || impl_->loopDone;
+        return impl_->rootTerminated || impl_->inbox.closed();
       })) {
     throw TimeoutError("termination detection timed out");
   }

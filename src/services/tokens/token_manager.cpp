@@ -12,6 +12,7 @@
 
 #include "dapple/core/peer_monitor.hpp"
 #include "dapple/core/state.hpp"
+#include "dapple/core/service_inbox.hpp"
 #include "dapple/serial/data_message.hpp"
 #include "dapple/util/log.hpp"
 
@@ -134,13 +135,11 @@ struct TokenManager::Impl {
   obs::Counter* mExpiries;
   obs::Gauge* gCreditOut;
   obs::TraceRing* trace;
-  Inbox* inbox = nullptr;
   std::weak_ptr<Impl> weakSelf;  // for timer/monitor callbacks
 
   mutable std::mutex mutex;
   std::condition_variable cv;
-  bool loopDone = false;
-  bool stopping = false;
+  bool stopping = false;  ///< set by ~TokenManager: no more maintenance
 
   bool attached = false;
   std::size_t selfIndex = 0;
@@ -989,35 +988,6 @@ struct TokenManager::Impl {
     }
   }
 
-  void run(std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      Delivery del = inbox->receive();
-      {
-        // The manager's ref is typically shared (e.g. over a session mesh)
-        // before every member has called attach(), so an eager peer's
-        // request can arrive while `peers` is still empty.  Hold the
-        // delivery until attach() — the inbox keeps queueing behind it, so
-        // FIFO order is preserved.
-        std::unique_lock lock(mutex);
-        while (!attached && !stopping && !stop.stop_requested()) {
-          clk().parkFor(lock, cv, milliseconds(50));
-        }
-        if (stopping) break;
-      }
-      if (stop.stop_requested()) break;
-      try {
-        dispatch(del);
-      } catch (const ShutdownError&) {
-        throw;
-      } catch (const std::exception& e) {
-        // Error subclasses and standard exceptions alike (a malformed
-        // message can surface std::out_of_range): log and keep serving.
-        DAPPLE_LOG(kWarn, kLog) << d.name() << ": token dispatch error: "
-                                << e.what();
-      }
-    }
-  }
-
   // ---- requester-side helpers -------------------------------------------
 
   void sendProbesLocked() {
@@ -1062,6 +1032,12 @@ struct TokenManager::Impl {
     if (cacheDirty) journalLeasesLocked();
     pending.reset();
   }
+
+  // Declared last: destroyed first, so no delivery outlives the state
+  // above.  Served from attach() on: an eager peer's request can arrive
+  // before this member has its peers, and the inbox queues it in FIFO
+  // order until then.
+  ServiceInbox inbox{d, "tokens.mgr"};
 };
 
 TokenManager::TokenManager(Dapplet& dapplet, TokenConfig config) {
@@ -1072,47 +1048,26 @@ TokenManager::TokenManager(Dapplet& dapplet, TokenConfig config) {
     impl_->trace->emit("tokens", "config.clamp", n);
     DAPPLE_LOG(kWarn, kLog) << dapplet.name() << ": " << n;
   }
-  impl_->inbox = &dapplet.createInbox("tokens.mgr");
-  auto impl = impl_;
-  dapplet.spawn([impl](std::stop_token stop) {
-    try {
-      impl->run(stop);
-    } catch (...) {
-      std::scoped_lock lock(impl->mutex);
-      impl->loopDone = true;
-      impl->clk().notifyAll(impl->cv);
-      throw;
-    }
-    std::scoped_lock lock(impl->mutex);
-    impl->loopDone = true;
-    impl->clk().notifyAll(impl->cv);
-  });
+  impl_->inbox.wakeOnClose(impl_->mutex, impl_->cv);
 }
 
 TokenManager::~TokenManager() {
   {
     std::scoped_lock lock(impl_->mutex);
     impl_->stopping = true;
-    impl_->clk().notifyAll(impl_->cv);
   }
-  // Cancel the maintenance timer before tearing the inbox down: cancel()
-  // waits out an in-flight tick, so no callback touches impl state after
-  // this line.
+  // Cancel the maintenance timer before the inbox is torn down: cancel()
+  // waits out an in-flight tick, and `stopping` keeps a delivery from
+  // arming another.
   impl_->maintTimer.cancel();
   if (impl_->cfg.monitor != nullptr) {
     for (const auto& [key, index] : impl_->watchIndex) {
       impl_->cfg.monitor->unwatch(key);
     }
   }
-  try {
-    impl_->d.destroyInbox(*impl_->inbox);
-  } catch (const Error&) {
-  }
-  std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait_for(lock, seconds(5), [&] { return impl_->loopDone; });
 }
 
-InboxRef TokenManager::ref() const { return impl_->inbox->ref(); }
+InboxRef TokenManager::ref() const { return impl_->inbox.ref(); }
 
 void TokenManager::attach(const std::vector<InboxRef>& managers,
                           std::size_t selfIndex, const TokenBag& initial) {
@@ -1146,7 +1101,6 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
       impl_->journalHomeLocked(color);
     }
     impl_->attached = true;
-    impl_->clk().notifyAll(impl_->cv);  // release a delivery parked by the loop
     // Re-lease every journaled loan under this boot's incarnation: the home
     // retires the dead incarnation's loan and covers the claim from it.
     for (const auto& [color, claim] : claims) {
@@ -1158,7 +1112,7 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
               Value(static_cast<long long>(impl_->cfg.creditBatch)));
       req.set("inc",
               Value(static_cast<long long>(impl_->cfg.incarnation)));
-      req.set("ref", inboxRefToValue(impl_->inbox->ref()));
+      req.set("ref", inboxRefToValue(impl_->inbox.ref()));
       impl_->sendTo(impl_->homeOf(color), req);
     }
     if (!claims.empty()) impl_->armMaintenanceLocked();
@@ -1168,6 +1122,9 @@ void TokenManager::attach(const std::vector<InboxRef>& managers,
     }
     if (homeLoans) impl_->armMaintenanceLocked();
   }
+  impl_->inbox.serve([impl = impl_.get()](const Delivery& del) {
+    impl->dispatch(del);
+  });
   // Failure-detector wiring: a suspect verdict reclaims the member's loans
   // without waiting out the lease.
   if (impl_->cfg.monitor != nullptr) {
@@ -1304,7 +1261,7 @@ void TokenManager::request(const TokenList& wants, Duration timeout) {
 
   const TimePoint deadline = impl_->now() + timeout;
   while (true) {
-    if (impl_->loopDone) {
+    if (impl_->inbox.closed()) {
       impl_->abortPendingLocked();
       throw ShutdownError("token manager stopped");
     }
@@ -1478,11 +1435,13 @@ TokenBag TokenManager::totalTokens(Duration timeout) {
   }
   const bool done = impl_->clk().waitFor(lock, impl_->cv, timeout, [&] {
     return impl_->totalQueries.at(qid).repliesPending == 0 ||
-           impl_->loopDone;
-  }) && !impl_->loopDone;
+           impl_->inbox.closed();
+  });
+  const bool complete = impl_->totalQueries.at(qid).repliesPending == 0;
   TokenBag totals = std::move(impl_->totalQueries.at(qid).totals);
   impl_->totalQueries.erase(qid);
   if (!done) throw TimeoutError("totalTokens query timed out");
+  if (!complete) throw ShutdownError("token manager stopped");
   return totals;
 }
 

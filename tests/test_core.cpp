@@ -75,16 +75,6 @@ TEST(Inbox, TimedReceiveReportsTimeoutInReturnValue) {
   EXPECT_THROW(in.receiveAs<DataMessage>(milliseconds(30)), TimeoutError);
 }
 
-// The deprecated throwing overload keeps its contract for one release.
-TEST(Inbox, DeprecatedThrowingReceiveStillWorks) {
-  Pair p;
-  Inbox& in = p.b.createInbox("in");
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(in.receive(milliseconds(30)), TimeoutError);
-#pragma GCC diagnostic pop
-}
-
 TEST(Inbox, TryReceiveNonBlocking) {
   Pair p;
   Inbox& in = p.b.createInbox("in");

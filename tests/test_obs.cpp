@@ -216,6 +216,13 @@ TEST(ObsWiring, LossyLinkShowsUpAsRetransmitsAndDrops) {
             sim.counters.at("sim.sent") - sim.counters.at("sim.dropped") +
                 sim.counters.at("sim.duplicated"));
 
+  // Each resend RACK triggers is counted once: the dapplet's view equals
+  // the layer's own tally.  Flushed first, so neither moves in between.
+  ASSERT_TRUE(a.flush(seconds(10)));
+  const std::uint64_t fast = a.transport().stats().fastRetransmits;
+  EXPECT_GT(fast, 0u) << "10% loss must trigger RACK resends";
+  EXPECT_EQ(a.metrics().counters.at("reliable.fast_retransmits"), fast);
+
   a.stop();
   b.stop();
 }
